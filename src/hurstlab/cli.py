@@ -9,6 +9,7 @@ HURSTLAB_SEED environment variable, or 0, in that order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
@@ -91,6 +92,21 @@ def _write_manifest(path: Path, manifest: dict) -> None:
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
+@contextlib.contextmanager
+def _manifest_on_exit(path: Path, command: str, args, base_seed: int):
+    """Write the run manifest to path however the block exits.  The status
+    is "ok", or what the block sets as run["status"], or the escaping exception."""
+    run = {"status": "ok"}
+    started = _now()
+    try:
+        yield run
+    except BaseException as exc:
+        run["status"] = f"error:{type(exc).__name__}: {exc}"
+        raise
+    finally:
+        _write_manifest(path, _manifest(command, args, base_seed, started, run["status"]))
+
+
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     """Comma list of integers; "A..B" expands to the powers of two from A to B."""
     try:
@@ -147,19 +163,11 @@ def cmd_synth(args) -> int:
         )
         raise UsageError(f"{flag}: {exc}") from exc
     out = Path(args.out)
-    started = _now()
-    status = "ok"
-    try:
+    with _manifest_on_exit(out.with_name(out.name + ".manifest.json"), "synth", args, base_seed):
         series = synthesize_fgn(spec)
         out.parent.mkdir(parents=True, exist_ok=True)
         write_series_csv(out, series)
-        return EXIT_OK
-    except EmbeddingNotPSD as exc:
-        status = f"error:{exc}"
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    finally:
-        _write_manifest(out.with_name(out.name + ".manifest.json"), _manifest("synth", args, base_seed, started, status))
+    return EXIT_OK
 
 
 def cmd_estimate(args) -> int:
@@ -223,9 +231,7 @@ def cmd_bench(args) -> int:
     config = _config_from(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    started = _now()
-    status = "ok"
-    try:
+    with _manifest_on_exit(out_dir / "manifest.json", "bench", args, base_seed) as run:
         result = run_grid(grid, config, threads=args.threads)
         write_summary_csv(out_dir / "summary.csv", result.summaries)
         write_replicates_csv(out_dir / "replicates.csv", result.records)
@@ -235,7 +241,7 @@ def cmd_bench(args) -> int:
                 shown = nmin if nmin is not None else "none"
                 print(f"N_min method={method.value} H={hurst:g}: {shown}")
         if result.flagged:
-            status = "error:flagged cells"
+            run["status"] = "error:flagged cells"
             for method, hurst, length in result.flagged:
                 print(
                     f"warning: >10% replicate failures for method={method.value} "
@@ -243,9 +249,7 @@ def cmd_bench(args) -> int:
                     file=sys.stderr,
                 )
             return EXIT_RUNTIME
-        return EXIT_OK
-    finally:
-        _write_manifest(out_dir / "manifest.json", _manifest("bench", args, base_seed, started, status))
+    return EXIT_OK
 
 
 def cmd_converge(args) -> int:
@@ -264,9 +268,7 @@ def cmd_converge(args) -> int:
     if args.series_count < 1:
         raise UsageError("--series-count: must be positive")
     out = Path(args.out)
-    started = _now()
-    status = "ok"
-    try:
+    with _manifest_on_exit(out.with_name(out.name + ".manifest.json"), "converge", args, base_seed):
         curve = mean_convergence_curve(
             method=methods[0],
             hurst=args.hurst,
@@ -280,9 +282,7 @@ def cmd_converge(args) -> int:
         )
         out.parent.mkdir(parents=True, exist_ok=True)
         write_convergence_csv(out, curve)
-        return EXIT_OK
-    finally:
-        _write_manifest(out.with_name(out.name + ".manifest.json"), _manifest("converge", args, base_seed, started, status))
+    return EXIT_OK
 
 
 def _load_scan_input(path: str, args):
@@ -298,8 +298,7 @@ def _load_scan_input(path: str, args):
         raise UsageError(f"path: cannot read {path}: {exc}") from exc
     if first.lower() == "timestamp,bytes":
         try:
-            records = parse_capture_csv(path)
-            binned = bin_to_series(records, bin_width=args.bin_width, unit=Unit(args.unit))
+            binned = bin_to_series(parse_capture_csv(path), bin_width=args.bin_width, unit=Unit(args.unit))
         except (ParseError, EmptyCapture, ValueError) as exc:
             raise UsageError(f"path: {exc}") from exc
         return binned.values, binned.bin_width, binned.origin
@@ -327,15 +326,11 @@ def cmd_scan(args) -> int:
         raise UsageError(f"--window: exceeds series length {values.size}")
 
     out = Path(args.out)
-    started = _now()
-    status = "ok"
-    try:
+    with _manifest_on_exit(out.with_name(out.name + ".manifest.json"), "scan", args, base_seed):
         scan = sliding_window_scan(values, args.window, stride, methods[0], _config_from(args))
         out.parent.mkdir(parents=True, exist_ok=True)
         write_window_scan_csv(out, scan, bin_width=bin_width, origin=origin)
-        return EXIT_OK
-    finally:
-        _write_manifest(out.with_name(out.name + ".manifest.json"), _manifest("scan", args, base_seed, started, status))
+    return EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -395,7 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--unit", choices=[u.value for u in Unit], default="bytes")
     scan.add_argument("--low-fraction", dest="low_fraction", type=float, default=None)
     scan.add_argument("--seed", type=int, default=None)
-    scan.add_argument("--threads", type=int, default=1)
     scan.add_argument("--out", required=True)
     scan.set_defaults(handler=cmd_scan)
 

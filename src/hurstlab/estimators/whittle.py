@@ -34,7 +34,6 @@ _H_BOUNDS = (0.01, 0.99)
 _TABLE_H_RANGE = (0.002, 0.998)
 _TABLE_DEG_LAMBDA = 14
 _TABLE_DEG_H = 36
-_GRID_CACHE_LIMIT = 400
 
 
 def _alias_body(lam: np.ndarray, hurst: float, terms: int) -> np.ndarray:
@@ -137,23 +136,6 @@ def _surface(terms: int) -> _AliasBodySurface:
     return table
 
 
-_GRID_CONSTANTS: dict[tuple, tuple] = {}
-
-
-def _grid_constants(freqs: np.ndarray) -> tuple:
-    """Frequency-only quantities, cached so repeated fits over the same
-    grid (benchmark grids, convergence prefixes) skip the setup passes."""
-    key = (freqs.size, float(freqs[0]), float(freqs[-1]))
-    cached = _GRID_CONSTANTS.get(key)
-    if cached is None:
-        if len(_GRID_CONSTANTS) >= _GRID_CACHE_LIMIT:
-            _GRID_CONSTANTS.clear()
-        one_minus_cos = 1.0 - np.cos(freqs)
-        cached = (np.log(freqs), one_minus_cos, float(np.log(one_minus_cos).sum()))
-        _GRID_CONSTANTS[key] = cached
-    return cached
-
-
 def whittle_objective(freqs: np.ndarray, powers: np.ndarray, config=DEFAULT_CONFIG):
     """Build the profiled Whittle contrast Q(H) for a periodogram.
 
@@ -168,7 +150,9 @@ def whittle_objective(freqs: np.ndarray, powers: np.ndarray, config=DEFAULT_CONF
         raise DegenerateSeries("periodogram is identically zero")
     table = _surface(config.whittle_spectrum_terms)
     m = freqs.size
-    log_lam, one_minus_cos, log_omc_sum = _grid_constants(freqs)
+    log_lam = np.log(freqs)
+    one_minus_cos = 1.0 - np.cos(freqs)
+    log_omc_sum = float(np.log(one_minus_cos).sum())
     basis = _cheb_basis(freqs * (2.0 / np.pi) - 1.0, _TABLE_DEG_LAMBDA - 1)
     weights = powers / (mean_power * one_minus_cos)
     log_edge = np.log(table.edge)

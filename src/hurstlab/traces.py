@@ -1,9 +1,10 @@
-"""Packet-capture ingestion: CSV records to binned series, sliding-window scans.
+"""Packet-capture ingestion: CSV rows to binned series, sliding-window scans.
 
 Capture input is a CSV export with header "timestamp,bytes" (arrival
-seconds, frame length).  Binning aligns bin edges to multiples of the bin
-width, sums bytes or counts frames per bin, and zero-fills empty interior
-bins, so total bytes are conserved exactly.
+seconds, frame length), held as one Capture of two validated columns.
+Binning aligns bin edges to multiples of the bin width, sums bytes or
+counts frames per bin, and zero-fills empty interior bins, so total
+bytes are conserved exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -43,17 +43,30 @@ class EmptyCapture(ValueError):
 
 
 @dataclass(frozen=True)
-class PacketRecord:
-    """One captured frame: arrival time in seconds and size in bytes."""
+class Capture:
+    """Captured frames as two columns: arrival seconds `times` (float64,
+    finite, >= 0) and frame bytes `sizes` (int64, >= 1)."""
 
-    timestamp: float
-    size: int
+    times: np.ndarray
+    sizes: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.timestamp) and self.timestamp >= 0.0):
+        times = np.asarray(self.times, dtype=np.float64)
+        sizes = np.asarray(self.sizes)
+        if times.ndim != 1 or sizes.ndim != 1 or times.size < 1 or times.size != sizes.size:
+            raise ValueError("times and sizes must be one-dimensional, non-empty and of equal length")
+        if sizes.dtype.kind not in "iu":
+            raise ValueError("sizes must be integers")
+        sizes = sizes.astype(np.int64)
+        if not np.all(np.isfinite(times) & (times >= 0.0)):
             raise ValueError("timestamp must be finite and non-negative")
-        if self.size < 1:
+        if np.any(sizes < 1):
             raise ValueError("size must be at least 1 byte")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "sizes", sizes)
+
+    def __len__(self) -> int:
+        return int(self.times.size)
 
 
 class Unit(str, Enum):
@@ -94,12 +107,12 @@ class WindowScan:
             raise ValueError("window starts must be strictly increasing")
 
 
-def parse_capture_csv(source) -> list[PacketRecord]:
-    """Parse a capture CSV (header "timestamp,bytes") into sorted records.
+def parse_capture_csv(source) -> Capture:
+    """Parse a capture CSV (header "timestamp,bytes") into a Capture sorted by time.
 
-    Accepts a path, a text or byte stream, or raw bytes.  Raises
-    ParseError with the offending line number, or EmptyCapture when no
-    records follow the header.
+    Accepts a path, a text or byte stream, or raw bytes.  Frames with equal
+    times keep their file order.  Raises ParseError with the offending line
+    number, or EmptyCapture when no records follow the header.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -107,7 +120,8 @@ def parse_capture_csv(source) -> list[PacketRecord]:
     if isinstance(source, bytes):
         return parse_capture_csv(io.StringIO(source.decode("utf-8")))
 
-    records: list[PacketRecord] = []
+    times: list[float] = []
+    sizes: list[int] = []
     header_seen = False
     for lineno, raw in enumerate(source, start=1):
         if isinstance(raw, bytes):
@@ -126,36 +140,40 @@ def parse_capture_csv(source) -> list[PacketRecord]:
         try:
             timestamp = float(fields[0])
             size = int(fields[1])
-            records.append(PacketRecord(timestamp=timestamp, size=size))
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from exc
+        if not (math.isfinite(timestamp) and timestamp >= 0.0):
+            raise ParseError(lineno, "timestamp must be finite and non-negative")
+        if size < 1:
+            raise ParseError(lineno, "size must be at least 1 byte")
+        if size >= 2**63:
+            raise ParseError(lineno, "size does not fit in 64 bits")
+        times.append(timestamp)
+        sizes.append(size)
     if not header_seen:
         raise ParseError(1, 'missing header "timestamp,bytes"')
-    if not records:
+    if not times:
         raise EmptyCapture("capture contains no records")
-    records.sort(key=lambda r: r.timestamp)
-    return records
+    time_column = np.array(times, dtype=np.float64)
+    order = np.argsort(time_column, kind="stable")
+    return Capture(time_column[order], np.array(sizes, dtype=np.int64)[order])
 
 
-def bin_to_series(records: Sequence[PacketRecord], bin_width: float, unit: Unit = Unit.BYTES) -> BinnedSeries:
-    """Aggregate records into bins [origin + k*w, origin + (k+1)*w).
+def bin_to_series(capture: Capture, bin_width: float, unit: Unit = Unit.BYTES) -> BinnedSeries:
+    """Aggregate a capture into bins [origin + k*w, origin + (k+1)*w).
 
-    Bin edges align to multiples of bin_width (origin = the first record's
-    bin start); the last bin is the one containing the final record, and
+    Bin edges align to multiples of bin_width (origin = the first frame's
+    bin start); the last bin is the one containing the final frame, and
     empty interior bins hold zero.
     """
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
-    if not records:
-        raise ValueError("at least one record is required")
     unit = Unit(unit)
-    times = np.array([r.timestamp for r in records])
-    weights = np.array([float(r.size) for r in records])
-    first = times.min()
-    origin = math.floor(first / bin_width) * bin_width
-    indices = np.floor((times - origin) / bin_width).astype(int)
-    values = np.zeros(int(indices.max()) + 1)
-    np.add.at(values, indices, weights if unit is Unit.BYTES else 1.0)
+    origin = math.floor(capture.times.min() / bin_width) * bin_width
+    # The rounded origin can exceed the first time by an ulp (828.4 with
+    # w = 0.1 gives 828.4000000000001); such frames belong to bin 0.
+    indices = np.maximum(np.floor((capture.times - origin) / bin_width).astype(np.intp), 0)
+    values = np.bincount(indices, weights=capture.sizes if unit is Unit.BYTES else None)
     return BinnedSeries(bin_width=float(bin_width), origin=float(origin), values=values, unit=unit)
 
 

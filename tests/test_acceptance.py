@@ -41,7 +41,7 @@ from hurstlab.evalharness import (
     run_grid,
 )
 from hurstlab.fgn import FgnSpec, child_seed, hurst_key, synthesize_fgn, target_autocovariance
-from hurstlab.traces import PacketRecord, Unit, bin_to_series, sliding_window_scan, window_count
+from hurstlab.traces import Capture, Unit, bin_to_series, sliding_window_scan, window_count
 
 ACCEPT_SEED = 1234
 THREADS = 2
@@ -270,8 +270,7 @@ def test_criterion_10_trace_pipeline(main_grid):
     count = 10**6
     times = rng.uniform(0.0, 3600.0, count)
     sizes = rng.integers(40, 1501, count)
-    records = [PacketRecord(float(t), int(s)) for t, s in zip(times, sizes)]
-    binned = bin_to_series(records, 0.01, Unit.BYTES)
+    binned = bin_to_series(Capture(times, sizes), 0.01, Unit.BYTES)
     conserved = binned.values.sum() == float(sizes.sum())
 
     series = synthesize_fgn(FgnSpec(hurst=0.8, length=2**16, seed=child_seed(ACCEPT_SEED, 10)))

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from hurstlab import cli
+from hurstlab.fgn import EmbeddingNotPSD
 from hurstlab.series import write_series_csv
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def raise_not_psd(*args, **kwargs):
+    raise EmbeddingNotPSD("eigenvalue -1")
 
 
 class TestSynth:
@@ -146,6 +151,14 @@ class TestConverge:
         assert rc == 0
         assert len(out.read_text().splitlines()) == 2
 
+    def test_runtime_failure_recorded_in_manifest(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "mean_convergence_curve", raise_not_psd)
+        out = tmp_path / "curve.csv"
+        rc = run_cli("converge", "--method", "whittle", "--hurst", "0.8", "--out", str(out))
+        assert rc == 3
+        manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
+        assert manifest["status"].startswith("error:")
+
     def test_bad_t0_is_usage_error(self, tmp_path):
         rc = run_cli(
             "converge", "--method", "whittle", "--hurst", "0.8",
@@ -183,6 +196,14 @@ class TestScan:
         )
         assert rc == 2
         assert "--stride" in capsys.readouterr().err
+
+    def test_runtime_failure_recorded_in_manifest(self, fgn08_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "sliding_window_scan", raise_not_psd)
+        out = tmp_path / "scan.csv"
+        rc = run_cli("scan", str(fgn08_file), "--window", "256", "--out", str(out))
+        assert rc == 3
+        manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
+        assert manifest["status"].startswith("error:")
 
     def test_default_stride_is_half_window(self, fgn08_file, tmp_path):
         out = tmp_path / "scan.csv"

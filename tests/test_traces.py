@@ -1,14 +1,17 @@
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurstlab.estimators import Method
 from hurstlab.fgn import FgnSpec, synthesize_fgn
 from hurstlab.traces import (
     BinnedSeries,
+    Capture,
     EmptyCapture,
-    PacketRecord,
     ParseError,
     Unit,
     WindowScan,
@@ -22,12 +25,12 @@ from hurstlab.traces import (
 
 class TestParseCaptureCsv:
     def test_two_records(self):
-        records = parse_capture_csv(b"timestamp,bytes\n0.05,100\n0.12,200\n")
-        assert [(r.timestamp, r.size) for r in records] == [(0.05, 100), (0.12, 200)]
+        capture = parse_capture_csv(b"timestamp,bytes\n0.05,100\n0.12,200\n")
+        assert list(zip(capture.times.tolist(), capture.sizes.tolist())) == [(0.05, 100), (0.12, 200)]
 
     def test_records_resorted_ascending(self):
-        records = parse_capture_csv(b"timestamp,bytes\n0.12,200\n0.05,100\n")
-        assert [r.timestamp for r in records] == [0.05, 0.12]
+        capture = parse_capture_csv(b"timestamp,bytes\n0.12,200\n0.05,100\n")
+        assert capture.times.tolist() == [0.05, 0.12]
 
     def test_malformed_size_reports_line(self):
         with pytest.raises(ParseError) as err:
@@ -37,6 +40,12 @@ class TestParseCaptureCsv:
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ParseError) as err:
             parse_capture_csv(b"timestamp,bytes\n0.05,10\n-0.1,10\n")
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("row", ["nan,10", "inf,10", "0.2,0", "0.2,9223372036854775808"])
+    def test_out_of_range_row_reports_line(self, row):
+        with pytest.raises(ParseError) as err:
+            parse_capture_csv(f"timestamp,bytes\n0.05,10\n{row}\n".encode())
         assert err.value.line == 3
 
     def test_wrong_field_count(self):
@@ -52,48 +61,114 @@ class TestParseCaptureCsv:
             parse_capture_csv(b"timestamp,bytes\n")
 
     def test_duplicate_timestamps_permitted(self):
-        records = parse_capture_csv(io.StringIO("timestamp,bytes\n1.0,10\n1.0,20\n"))
-        assert len(records) == 2
+        capture = parse_capture_csv(io.StringIO("timestamp,bytes\n1.0,10\n1.0,20\n"))
+        assert len(capture) == 2
 
     def test_accepts_path(self, capture_file):
-        records = parse_capture_csv(capture_file)
-        assert len(records) == 20000
+        capture = parse_capture_csv(capture_file)
+        assert len(capture) == 20000
 
 
 class TestBinToSeries:
     def test_direct_binning_arithmetic(self):
-        records = [PacketRecord(0.05, 100), PacketRecord(0.12, 200), PacketRecord(0.18, 50)]
-        binned = bin_to_series(records, 0.1, Unit.BYTES)
+        capture = Capture(np.array([0.05, 0.12, 0.18]), np.array([100, 200, 50]))
+        binned = bin_to_series(capture, 0.1, Unit.BYTES)
         np.testing.assert_allclose(binned.values, [100.0, 250.0])
 
     def test_single_record_single_frame_bin(self):
-        binned = bin_to_series([PacketRecord(3.0, 64)], 1.0, Unit.FRAMES)
+        binned = bin_to_series(Capture(np.array([3.0]), np.array([64])), 1.0, Unit.FRAMES)
         np.testing.assert_allclose(binned.values, [1.0])
         assert binned.origin == 3.0
 
     def test_uniform_records_conserve_bytes(self):
-        records = [PacketRecord(k * 0.01, 100) for k in range(1000)]
-        binned = bin_to_series(records, 0.1, Unit.BYTES)
+        capture = Capture(np.arange(1000) * 0.01, np.full(1000, 100))
+        binned = bin_to_series(capture, 0.1, Unit.BYTES)
         assert binned.values.size == 100
         assert binned.values.sum() == 100000.0
 
     def test_empty_interior_bins_are_zero(self):
-        records = [PacketRecord(0.0, 10), PacketRecord(1.0, 10)]
-        binned = bin_to_series(records, 0.25, Unit.FRAMES)
+        capture = Capture(np.array([0.0, 1.0]), np.array([10, 10]))
+        binned = bin_to_series(capture, 0.25, Unit.FRAMES)
         np.testing.assert_allclose(binned.values, [1, 0, 0, 0, 1])
 
     def test_byte_conservation_random(self):
         rng = np.random.default_rng(5)
-        records = [
-            PacketRecord(float(t), int(s))
-            for t, s in zip(rng.uniform(0, 100, 50000), rng.integers(40, 1501, 50000))
-        ]
-        binned = bin_to_series(records, 0.013, Unit.BYTES)
-        assert binned.values.sum() == float(sum(r.size for r in records))
+        capture = Capture(rng.uniform(0, 100, 50000), rng.integers(40, 1501, 50000))
+        binned = bin_to_series(capture, 0.013, Unit.BYTES)
+        assert binned.values.sum() == float(capture.sizes.sum())
+
+    def test_origin_rounded_above_first_time(self):
+        # floor(828.4 / 0.1) * 0.1 is 828.4000000000001, above the first time.
+        binned = bin_to_series(Capture(np.array([828.4, 828.55]), np.array([1, 1])), 0.1, Unit.FRAMES)
+        np.testing.assert_allclose(binned.values, [1, 1])
 
     def test_invalid_bin_width(self):
         with pytest.raises(ValueError):
-            bin_to_series([PacketRecord(0.0, 1)], 0.0, Unit.BYTES)
+            bin_to_series(Capture(np.array([0.0]), np.array([1])), 0.0, Unit.BYTES)
+
+
+# Times include a few repeated values so that ties, and their stable order,
+# come up often.
+_frames = st.lists(
+    st.tuples(
+        st.one_of(st.floats(0.0, 1e4), st.sampled_from([0.0, 0.5, 828.4])),
+        st.integers(1, 10**9),
+    ),
+    min_size=1,
+    max_size=200,
+)
+
+
+def _columns(frames):
+    return np.array([t for t, _ in frames]), np.array([s for _, s in frames])
+
+
+class TestCaptureProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(_frames)
+    def test_csv_round_trip_is_stable_sorted(self, frames):
+        text = "timestamp,bytes\n" + "".join(f"{t!r},{s}\n" for t, s in frames)
+        capture = parse_capture_csv(text.encode())
+        expected = sorted(frames, key=lambda frame: frame[0])
+        assert capture.times.tolist() == [t for t, _ in expected]
+        assert capture.sizes.tolist() == [s for _, s in expected]
+        assert len(capture) == len(frames)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_frames, st.floats(0.01, 100.0))
+    def test_binning_conserves_bytes_and_frames(self, frames, width):
+        capture = Capture(*_columns(frames))
+        assert bin_to_series(capture, width, Unit.BYTES).values.sum() == float(capture.sizes.sum())
+        assert bin_to_series(capture, width, Unit.FRAMES).values.sum() == len(frames)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_frames, st.floats(0.01, 100.0))
+    def test_bin_count_and_edges(self, frames, width):
+        capture = Capture(*_columns(frames))
+        binned = bin_to_series(capture, width, Unit.FRAMES)
+        assert binned.origin == math.floor(capture.times.min() / width) * width
+        # When every frame sits within an ulp below the rounded origin,
+        # floor(...) is -1 and the frames fill bin 0.
+        assert binned.values.size == max(math.floor((capture.times.max() - binned.origin) / width), 0) + 1
+        assert binned.values[0] > 0 and binned.values[-1] > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(_frames, st.data())
+    def test_capture_rejects_invalid_columns(self, frames, data):
+        times, sizes = _columns(frames)
+        i = data.draw(st.integers(0, len(frames) - 1))
+        for bad_time in (math.nan, math.inf, -data.draw(st.floats(1e-300, 1e6))):
+            corrupted = times.copy()
+            corrupted[i] = bad_time
+            with pytest.raises(ValueError):
+                Capture(corrupted, sizes)
+        corrupted = sizes.copy()
+        corrupted[i] = data.draw(st.integers(-(10**9), 0))
+        with pytest.raises(ValueError):
+            Capture(times, corrupted)
+        for bad_sizes in (sizes[:-1], np.append(sizes, 1), sizes + 0.5, sizes[None, :]):
+            with pytest.raises(ValueError):
+                Capture(times, bad_sizes)
 
 
 class TestSlidingWindowScan:

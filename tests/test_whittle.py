@@ -79,6 +79,16 @@ class TestWhittleObjective:
         result = minimize_whittle(whittle_objective(freqs, powers))
         assert abs(result.x - h0) < 1e-3
 
+    def test_grids_sharing_size_and_endpoints_fit_independently(self):
+        # The Fourier grid and a geometric grid with the same size and
+        # endpoints; fitting one must not change the other's fit.
+        n = 4096
+        fourier = 2.0 * np.pi * np.arange(1, (n - 1) // 2 + 1) / n
+        geometric = np.geomspace(fourier[0], fourier[-1], fourier.size)
+        for freqs in (fourier, geometric):
+            result = minimize_whittle(whittle_objective(freqs, fgn_spectral_density(0.7, freqs)))
+            assert abs(result.x - 0.7) < 1e-3
+
     def test_zero_spectrum_is_degenerate(self):
         with pytest.raises(DegenerateSeries):
             whittle_objective(np.array([0.1, 0.2]), np.zeros(2))
