@@ -1,9 +1,7 @@
 """hurstlab: exact fGn synthesis, Hurst estimation, and series-length benchmarking."""
 
 from .estimators import (
-    DEFAULT_CONFIG,
     DegenerateSeries,
-    EstimatorConfig,
     HurstEstimate,
     Method,
     NoConvergence,
@@ -31,10 +29,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AutocovarianceRing",
-    "DEFAULT_CONFIG",
     "DegenerateSeries",
     "EmbeddingNotPSD",
-    "EstimatorConfig",
     "FgnSpec",
     "HurstEstimate",
     "Method",

@@ -3,7 +3,8 @@
 Every run writes a JSON manifest alongside its outputs (embedded in the
 report for stdout-only runs).  Exit codes: 0 success, 2 usage/validation,
 3 runtime or numeric failure.  The base seed comes from --seed, the
-HURSTLAB_SEED environment variable, or 0, in that order.
+HURSTLAB_SEED environment variable, or 0, in that order.  estimate and
+scan draw no random numbers, so for them the seed only reaches the manifest.
 """
 
 from __future__ import annotations
@@ -17,14 +18,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .estimators import (
-    DegenerateSeries,
-    EstimatorConfig,
-    Method,
-    NoConvergence,
-    estimate,
-)
+from .estimators import DegenerateSeries, Method, NoConvergence, estimate
 from .evalharness import (
+    FAILURE_FLAG_FRACTION,
     ExperimentGrid,
     find_nmin,
     mean_convergence_curve,
@@ -142,16 +138,6 @@ def _methods_from(args, default=tuple(Method)) -> tuple[Method, ...]:
         raise UsageError(f"--method: must be one of {choices}") from exc
 
 
-def _config_from(args) -> EstimatorConfig:
-    fraction = getattr(args, "low_fraction", None)
-    if fraction is None:
-        return EstimatorConfig()
-    try:
-        return EstimatorConfig(pgram_low_fraction=fraction)
-    except ValueError as exc:
-        raise UsageError(f"--low-fraction: {exc}") from exc
-
-
 def cmd_synth(args) -> int:
     base_seed = _base_seed(args)
     try:
@@ -181,14 +167,13 @@ def cmd_estimate(args) -> int:
     if series.length < 64:
         raise UsageError(f"path: series has {series.length} points; at least 64 are required")
     methods = _methods_from(args)
-    config = _config_from(args)
 
     started = _now()
     entries = []
     failed = False
     for method in methods:
         try:
-            result = estimate(series, method, config)
+            result = estimate(series, method)
             entries.append(
                 {
                     "method": method.value,
@@ -228,11 +213,10 @@ def cmd_bench(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(f"--hursts/--lengths/--replicates: {exc}") from exc
-    config = _config_from(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with _manifest_on_exit(out_dir / "manifest.json", "bench", args, base_seed) as run:
-        result = run_grid(grid, config, threads=args.threads)
+        result = run_grid(grid, threads=args.threads)
         write_summary_csv(out_dir / "summary.csv", result.summaries)
         write_replicates_csv(out_dir / "replicates.csv", result.records)
         for method in grid.methods:
@@ -276,7 +260,6 @@ def cmd_converge(args) -> int:
             max_length=args.max_length,
             t0=args.t0,
             tu=args.tu,
-            config=_config_from(args),
             base_seed=base_seed,
             threads=args.threads,
         )
@@ -326,10 +309,15 @@ def cmd_scan(args) -> int:
         raise UsageError(f"--window: exceeds series length {values.size}")
 
     out = Path(args.out)
-    with _manifest_on_exit(out.with_name(out.name + ".manifest.json"), "scan", args, base_seed):
-        scan = sliding_window_scan(values, args.window, stride, methods[0], _config_from(args))
+    with _manifest_on_exit(out.with_name(out.name + ".manifest.json"), "scan", args, base_seed) as run:
+        scan = sliding_window_scan(values, args.window, stride, methods[0])
         out.parent.mkdir(parents=True, exist_ok=True)
         write_window_scan_csv(out, scan, bin_width=bin_width, origin=origin)
+        windows = len(scan.points) + len(scan.failures)
+        if len(scan.failures) > FAILURE_FLAG_FRACTION * windows:
+            run["status"] = "error:flagged windows"
+            print(f"warning: >10% window failures: {len(scan.failures)} of {windows}", file=sys.stderr)
+            return EXIT_RUNTIME
     return EXIT_OK
 
 
@@ -352,7 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="estimate H for a series file, JSON to stdout")
     est.add_argument("path")
     est.add_argument("--method", action="append", choices=[m.value for m in Method])
-    est.add_argument("--low-fraction", dest="low_fraction", type=float, default=None)
     est.add_argument("--seed", type=int, default=None)
     est.add_argument("--out", default=None)
     est.set_defaults(handler=cmd_estimate)
@@ -362,7 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--lengths", default="64..65536")
     bench.add_argument("--replicates", type=int, default=200)
     bench.add_argument("--method", action="append", choices=[m.value for m in Method])
-    bench.add_argument("--low-fraction", dest="low_fraction", type=float, default=None)
     bench.add_argument("--seed", type=int, default=None)
     bench.add_argument("--threads", type=int, default=1)
     bench.add_argument("--out", required=True, help="output directory")
@@ -375,7 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--max-length", dest="max_length", type=int, default=2**16)
     conv.add_argument("--t0", type=int, default=2**6)
     conv.add_argument("--tu", type=int, default=200)
-    conv.add_argument("--low-fraction", dest="low_fraction", type=float, default=None)
     conv.add_argument("--seed", type=int, default=None)
     conv.add_argument("--threads", type=int, default=1)
     conv.add_argument("--out", required=True)
@@ -388,7 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--method", action="append", choices=[m.value for m in Method])
     scan.add_argument("--bin-width", dest="bin_width", type=float, default=0.01)
     scan.add_argument("--unit", choices=[u.value for u in Unit], default="bytes")
-    scan.add_argument("--low-fraction", dest="low_fraction", type=float, default=None)
     scan.add_argument("--seed", type=int, default=None)
     scan.add_argument("--out", required=True)
     scan.set_defaults(handler=cmd_scan)

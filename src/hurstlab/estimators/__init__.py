@@ -1,6 +1,6 @@
 """Hurst-exponent estimators: R/S, Periodogram, Whittle, Abry-Veitch.
 
-All estimators are pure functions of (series, config) and return the same
+All estimators are pure functions of the series and return the same
 value for a*x + b as for x (a > 0).  Diagnostics carry a stable key set:
 
     slope, intercept, corr_coef, points_used, clamped   (regression methods)
@@ -10,14 +10,7 @@ value for a*x + b as for x (a > 0).  Diagnostics carry a stable key set:
 Flags are encoded as 0.0 / 1.0.
 """
 
-from .base import (
-    DEFAULT_CONFIG,
-    DegenerateSeries,
-    EstimatorConfig,
-    HurstEstimate,
-    Method,
-    NoConvergence,
-)
+from .base import DegenerateSeries, HurstEstimate, Method, NoConvergence
 from .periodogram import estimate_periodogram, periodogram_of
 from .rs import estimate_rs, rescaled_range
 from .wavelet import (
@@ -38,15 +31,13 @@ _DISPATCH = {
 }
 
 
-def estimate(series, method, config=DEFAULT_CONFIG) -> HurstEstimate:
+def estimate(series, method) -> HurstEstimate:
     """Run one named estimator on a series."""
-    return _DISPATCH[Method(method)](series, config)
+    return _DISPATCH[Method(method)](series)
 
 
 __all__ = [
-    "DEFAULT_CONFIG",
     "DegenerateSeries",
-    "EstimatorConfig",
     "HurstEstimate",
     "Method",
     "NoConvergence",

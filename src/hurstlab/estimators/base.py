@@ -1,4 +1,4 @@
-"""Shared estimator types: configuration, results, failure modes, regression helpers."""
+"""Shared estimator types: results, failure modes, regression helpers."""
 
 from __future__ import annotations
 
@@ -29,46 +29,6 @@ class NoConvergence(RuntimeError):
 # short-series estimates instead of aborting.
 H_CLAMP_LOW = 0.001
 H_CLAMP_HIGH = 0.999
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Tuning constants for the four estimators.
-
-    pgram_low_fraction keeps the periodogram regression inside the
-    low-frequency scaling region; wider cutoffs let spectral curvature
-    beyond it flip the estimator's small-sample bias sign on exact fGn.
-    """
-
-    rs_min_block: int = 8
-    rs_blocks_per_decade: int = 8
-    pgram_low_fraction: float = 0.02
-    whittle_tolerance: float = 1e-4
-    whittle_spectrum_terms: int = 200
-    wavelet_vanishing_moments: int = 3
-    wavelet_min_scale: int = 3
-    wavelet_min_coeffs: int = 8
-
-    def __post_init__(self):
-        if self.rs_min_block < 2:
-            raise ValueError("rs_min_block must be at least 2")
-        if self.rs_blocks_per_decade < 1:
-            raise ValueError("rs_blocks_per_decade must be positive")
-        if not 0.0 < self.pgram_low_fraction <= 1.0:
-            raise ValueError("pgram_low_fraction must be in (0,1]")
-        if self.whittle_tolerance <= 0.0:
-            raise ValueError("whittle_tolerance must be positive")
-        if self.whittle_spectrum_terms < 1:
-            raise ValueError("whittle_spectrum_terms must be positive")
-        if self.wavelet_vanishing_moments < 1:
-            raise ValueError("wavelet_vanishing_moments must be positive")
-        if self.wavelet_min_scale < 1:
-            raise ValueError("wavelet_min_scale must be positive")
-        if self.wavelet_min_coeffs < 2:
-            raise ValueError("wavelet_min_coeffs must be at least 2")
-
-
-DEFAULT_CONFIG = EstimatorConfig()
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,13 @@ import numpy as np
 import scipy.fft
 
 from ..series import as_values
-from .base import DEFAULT_CONFIG, DegenerateSeries, HurstEstimate, Method, clamp_hurst, loglog_fit
+from .base import DegenerateSeries, HurstEstimate, Method, clamp_hurst, loglog_fit
+
+# Share of the Fourier frequencies, lowest first, that the regression fits.
+# It keeps the fit inside the low-frequency scaling region; wider cutoffs
+# let spectral curvature beyond it flip the estimator's small-sample bias
+# sign on exact fGn.
+LOW_FRACTION = 0.02
 
 
 def periodogram_of(series) -> tuple[np.ndarray, np.ndarray]:
@@ -28,10 +34,10 @@ def periodogram_of(series) -> tuple[np.ndarray, np.ndarray]:
     return freqs, powers
 
 
-def estimate_periodogram(series, config=DEFAULT_CONFIG) -> HurstEstimate:
+def estimate_periodogram(series) -> HurstEstimate:
     """Estimate H from the slope of log I(lambda) vs log lambda near the origin.
 
-    The lowest pgram_low_fraction of Fourier frequencies is fitted; the
+    The lowest LOW_FRACTION of Fourier frequencies is fitted; the
     slope s estimates 1-2H, so H = (1-s)/2, clamped and flagged if the
     regression leaves (0,1).
     """
@@ -39,7 +45,7 @@ def estimate_periodogram(series, config=DEFAULT_CONFIG) -> HurstEstimate:
     if x.size < 64:
         raise ValueError("periodogram estimation requires at least 64 samples")
     freqs, powers = periodogram_of(x)
-    n_low = max(2, math.ceil(config.pgram_low_fraction * freqs.size))
+    n_low = max(2, math.ceil(LOW_FRACTION * freqs.size))
     freqs, powers = freqs[:n_low], powers[:n_low]
     keep = powers > 0.0
     if not np.any(keep):

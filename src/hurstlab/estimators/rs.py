@@ -5,15 +5,19 @@ from __future__ import annotations
 import numpy as np
 
 from ..series import as_values
-from .base import DEFAULT_CONFIG, DegenerateSeries, HurstEstimate, Method, clamp_hurst, loglog_fit
+from .base import DegenerateSeries, HurstEstimate, Method, clamp_hurst, loglog_fit
+
+# The block grid: sizes from MIN_BLOCK to n/2, BLOCKS_PER_DECADE per decade.
+MIN_BLOCK = 8
+BLOCKS_PER_DECADE = 8
 
 
-def _block_sizes(n: int, config) -> np.ndarray:
-    """Logarithmically spaced block sizes from rs_min_block to n/2."""
+def _block_sizes(n: int) -> np.ndarray:
+    """Logarithmically spaced block sizes from MIN_BLOCK to n/2."""
     largest = n // 2
-    ratio = 10.0 ** (1.0 / config.rs_blocks_per_decade)
+    ratio = 10.0 ** (1.0 / BLOCKS_PER_DECADE)
     sizes = []
-    size = float(config.rs_min_block)
+    size = float(MIN_BLOCK)
     while int(round(size)) <= largest:
         sizes.append(int(round(size)))
         size *= ratio
@@ -52,7 +56,10 @@ def _prefix_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rescaled_range(series, size: int) -> float:
-    """Mean R/S statistic over the non-overlapping blocks of the given size."""
+    """Mean R/S statistic over the non-overlapping blocks of the given size.
+
+    estimate_rs does not call this; it is kept as a public helper that
+    exposes one point of the R/S fit, which the tests check block by block."""
     x = as_values(series)
     if size < 2 or size > x.size:
         raise ValueError("block size must be in [2, series length]")
@@ -60,12 +67,12 @@ def rescaled_range(series, size: int) -> float:
     return _mean_rs(prefix, prefix_sq, size, np.empty(x.size))
 
 
-def estimate_rs(series, config=DEFAULT_CONFIG) -> HurstEstimate:
+def estimate_rs(series) -> HurstEstimate:
     """H as the log-log slope of the mean rescaled range against block size."""
     x = as_values(series)
-    if x.size < 2 * config.rs_min_block:
-        raise ValueError("R/S estimation requires at least 2 * rs_min_block samples")
-    sizes = _block_sizes(x.size, config)
+    if x.size < 2 * MIN_BLOCK:
+        raise ValueError(f"R/S estimation requires at least {2 * MIN_BLOCK} samples")
+    sizes = _block_sizes(x.size)
     prefix, prefix_sq = _prefix_sums(x)
     work = np.empty(x.size)
     ratios = np.array([_mean_rs(prefix, prefix_sq, int(size), work) for size in sizes])

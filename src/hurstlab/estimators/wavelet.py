@@ -17,9 +17,16 @@ from typing import NamedTuple
 import numpy as np
 
 from ..series import as_values
-from .base import DEFAULT_CONFIG, DegenerateSeries, HurstEstimate, Method, clamp_hurst, loglog_fit
+from .base import DegenerateSeries, HurstEstimate, Method, clamp_hurst, loglog_fit
 
 _LN2_SQ = math.log(2.0) ** 2
+
+# Daubechies vanishing moments of the analysing wavelet (db3).
+VANISHING_MOMENTS = 3
+# The finest octave the regression fits; finer ones carry filter transients.
+MIN_SCALE = 3
+# Octaves with fewer detail coefficients than this are dropped.
+MIN_COEFFS = 8
 
 
 def daubechies_filter(moments: int) -> np.ndarray:
@@ -73,13 +80,13 @@ def _synthesis_step(smooth, detail, lowpass, highpass):
     return approx
 
 
-def dwt(series, config=DEFAULT_CONFIG):
+def dwt(series):
     """Periodic pyramid DWT; returns (details per level, final approximation).
 
     Decomposition continues while the cascade length stays even.
     """
     approx = as_values(series).copy()
-    lowpass = daubechies_filter(config.wavelet_vanishing_moments)
+    lowpass = daubechies_filter(VANISHING_MOMENTS)
     highpass = quadrature_mirror(lowpass)
     details = []
     while approx.size >= 2 and approx.size % 2 == 0:
@@ -88,9 +95,12 @@ def dwt(series, config=DEFAULT_CONFIG):
     return details, approx
 
 
-def idwt(details, approx, config=DEFAULT_CONFIG) -> np.ndarray:
-    """Inverse of dwt: rebuild the series from its full coefficient set."""
-    lowpass = daubechies_filter(config.wavelet_vanishing_moments)
+def idwt(details, approx) -> np.ndarray:
+    """Inverse of dwt: rebuild the series from its full coefficient set.
+
+    No estimator calls this; it is kept as the tests' oracle for dwt
+    (perfect reconstruction) and as a public helper."""
+    lowpass = daubechies_filter(VANISHING_MOMENTS)
     highpass = quadrature_mirror(lowpass)
     current = np.asarray(approx, dtype=float)
     for detail in reversed(details):
@@ -104,37 +114,35 @@ class ScaleVariance(NamedTuple):
     count: int
 
 
-def dwt_detail_variances(series, config=DEFAULT_CONFIG) -> list[ScaleVariance]:
+def dwt_detail_variances(series) -> list[ScaleVariance]:
     """Mean squared detail coefficient per octave, with coefficient counts.
 
-    Octaves with fewer than wavelet_min_coeffs coefficients are dropped;
+    Octaves with fewer than MIN_COEFFS coefficients are dropped;
     at least 3 usable octaves are required.
     """
     x = as_values(series)
-    if x.size < 2 ** (config.wavelet_min_scale + 2):
-        raise ValueError(
-            f"wavelet analysis requires at least {2 ** (config.wavelet_min_scale + 2)} samples"
-        )
-    details, _ = dwt(x, config)
+    if x.size < 2 ** (MIN_SCALE + 2):
+        raise ValueError(f"wavelet analysis requires at least {2 ** (MIN_SCALE + 2)} samples")
+    details, _ = dwt(x)
     usable = [
         ScaleVariance(scale=j, variance=float(np.mean(d**2)), count=int(d.size))
         for j, d in enumerate(details, start=1)
-        if d.size >= config.wavelet_min_coeffs
+        if d.size >= MIN_COEFFS
     ]
     if len(usable) < 3:
         raise ValueError("too few usable wavelet scales")
     return usable
 
 
-def estimate_abry_veitch(series, config=DEFAULT_CONFIG) -> HurstEstimate:
+def estimate_abry_veitch(series) -> HurstEstimate:
     """Weighted regression of log2 detail variance on octave: slope = 2H - 1.
 
-    Octaves below wavelet_min_scale are excluded (filter-transient
+    Octaves below MIN_SCALE are excluded (filter-transient
     contamination); when that leaves fewer than two points, the range is
     widened downward to the two coarsest usable octaves and flagged.
     """
-    variances = dwt_detail_variances(series, config)
-    fit = [sv for sv in variances if sv.scale >= config.wavelet_min_scale]
+    variances = dwt_detail_variances(series)
+    fit = [sv for sv in variances if sv.scale >= MIN_SCALE]
     range_reduced = False
     if len(fit) < 2:
         fit = variances[-2:]

@@ -2,7 +2,7 @@
 
 The spectral shape is f(lambda; H) = (1 - cos lambda) * S(lambda, H) with
 S the alias sum over |lambda + 2*pi*j|^{-2H-1}, truncated after
-whittle_spectrum_terms terms and closed with an integral (midpoint-rule)
+SPECTRUM_TERMS terms and closed with an integral (midpoint-rule)
 tail correction, which keeps the truncation error far below 1e-6 for
 H <= 0.95.
 
@@ -16,7 +16,7 @@ exactly at H0.
 
 Repeated objective evaluations dominate benchmark runtime, so the smooth
 truncated alias body (minus its leading lambda^{-2H-1} term) is tabulated
-once per terms-count as a 2-D Chebyshev surface in (lambda, H); per
+once per process as a 2-D Chebyshev surface in (lambda, H); per
 evaluation it collapses to a dot product with a precomputed basis matrix.
 The tail correction, whose 1/H factor polynomial fits handle poorly, is
 applied analytically.
@@ -24,11 +24,18 @@ applied analytically.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from ..series import as_values
-from .base import DEFAULT_CONFIG, DegenerateSeries, HurstEstimate, Method, NoConvergence
+from .base import DegenerateSeries, HurstEstimate, Method, NoConvergence
+
+# xatol of the bounded minimization over H.
+TOLERANCE = 1e-4
+# Aliases summed exactly before the integral tail correction.
+SPECTRUM_TERMS = 200
 
 _H_BOUNDS = (0.01, 0.99)
 _TABLE_H_RANGE = (0.002, 0.998)
@@ -53,7 +60,7 @@ def _alias_tail(lam: np.ndarray, hurst: float, terms: int) -> np.ndarray:
     )
 
 
-def fgn_spectral_density(hurst: float, frequency, terms: int = 200):
+def fgn_spectral_density(hurst: float, frequency, terms: int = SPECTRUM_TERMS):
     """Normalization-free fGn spectral density shape on (0, pi].
 
     f(lambda; H) = (1 - cos lambda) * sum_j |lambda + 2*pi*j|^{-2H-1},
@@ -126,17 +133,12 @@ class _AliasBodySurface:
         return self.coeffs @ weights
 
 
-_SURFACES: dict[int, _AliasBodySurface] = {}
+@functools.cache
+def _surface() -> _AliasBodySurface:
+    return _AliasBodySurface(SPECTRUM_TERMS)
 
 
-def _surface(terms: int) -> _AliasBodySurface:
-    table = _SURFACES.get(terms)
-    if table is None:
-        table = _SURFACES[terms] = _AliasBodySurface(terms)
-    return table
-
-
-def whittle_objective(freqs: np.ndarray, powers: np.ndarray, config=DEFAULT_CONFIG):
+def whittle_objective(freqs: np.ndarray, powers: np.ndarray):
     """Build the profiled Whittle contrast Q(H) for a periodogram.
 
     Q(H) = sum_j log f~_j(H) + m * log(mean_j(I~_j / f~_j(H))) + m,
@@ -148,7 +150,7 @@ def whittle_objective(freqs: np.ndarray, powers: np.ndarray, config=DEFAULT_CONF
     mean_power = powers.mean()
     if not mean_power > 0.0:
         raise DegenerateSeries("periodogram is identically zero")
-    table = _surface(config.whittle_spectrum_terms)
+    table = _surface()
     m = freqs.size
     log_lam = np.log(freqs)
     one_minus_cos = 1.0 - np.cos(freqs)
@@ -179,20 +181,20 @@ def whittle_objective(freqs: np.ndarray, powers: np.ndarray, config=DEFAULT_CONF
     return objective
 
 
-def minimize_whittle(objective, config=DEFAULT_CONFIG):
+def minimize_whittle(objective):
     """Bracketed scalar minimization of the Whittle objective over (0.01, 0.99)."""
     result = minimize_scalar(
         objective,
         bounds=_H_BOUNDS,
         method="bounded",
-        options={"xatol": config.whittle_tolerance},
+        options={"xatol": TOLERANCE},
     )
     if not result.success or not np.isfinite(result.fun):
         raise NoConvergence(f"whittle minimization failed: {result.message}")
     return result
 
 
-def whittle_point_value(series, config=DEFAULT_CONFIG) -> float:
+def whittle_point_value(series) -> float:
     """Whittle point estimate only: the same minimization as estimate_whittle
     without the CI curvature stencil.  Intended for bulk benchmarking."""
     from .periodogram import periodogram_of
@@ -201,11 +203,11 @@ def whittle_point_value(series, config=DEFAULT_CONFIG) -> float:
     if x.size < 64:
         raise ValueError("whittle estimation requires at least 64 samples")
     freqs, powers = periodogram_of(x)
-    result = minimize_whittle(whittle_objective(freqs, powers, config), config)
+    result = minimize_whittle(whittle_objective(freqs, powers))
     return float(result.x)
 
 
-def estimate_whittle(series, config=DEFAULT_CONFIG) -> HurstEstimate:
+def estimate_whittle(series) -> HurstEstimate:
     """Whittle estimate with a 95% CI from the objective curvature at the minimum."""
     from .periodogram import periodogram_of
 
@@ -213,8 +215,8 @@ def estimate_whittle(series, config=DEFAULT_CONFIG) -> HurstEstimate:
     if x.size < 64:
         raise ValueError("whittle estimation requires at least 64 samples")
     freqs, powers = periodogram_of(x)
-    objective = whittle_objective(freqs, powers, config)
-    result = minimize_whittle(objective, config)
+    objective = whittle_objective(freqs, powers)
+    result = minimize_whittle(objective)
     value = float(result.x)
 
     step = 1e-2
@@ -226,9 +228,7 @@ def estimate_whittle(series, config=DEFAULT_CONFIG) -> HurstEstimate:
         half_width = 1.96 / np.sqrt(curvature)
         ci_low = max(0.001, value - half_width)
         ci_high = min(0.999, value + half_width)
-    at_bound = value <= _H_BOUNDS[0] + 2.0 * config.whittle_tolerance or (
-        value >= _H_BOUNDS[1] - 2.0 * config.whittle_tolerance
-    )
+    at_bound = value <= _H_BOUNDS[0] + 2.0 * TOLERANCE or value >= _H_BOUNDS[1] - 2.0 * TOLERANCE
     return HurstEstimate(
         value=value,
         method=Method.WHITTLE,

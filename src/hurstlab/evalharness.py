@@ -17,14 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import (
-    DEFAULT_CONFIG,
-    DegenerateSeries,
-    EstimatorConfig,
-    Method,
-    NoConvergence,
-    estimate,
-)
+from .estimators import DegenerateSeries, Method, NoConvergence, estimate
 from .estimators.whittle import whittle_point_value
 from .fgn import EmbeddingNotPSD, FgnSpec, child_seed, hurst_key, synthesize_fgn
 
@@ -153,15 +146,15 @@ def _parallel_map(task, items, threads):
         return list(pool.map(task, items))
 
 
-def _point_value(series, method: Method, config: EstimatorConfig) -> float:
+def _point_value(series, method: Method) -> float:
     """Point estimate only; skips the Whittle CI stencil in bulk runs."""
     if method is Method.WHITTLE:
-        return whittle_point_value(series, config)
-    return estimate(series, method, config).value
+        return whittle_point_value(series)
+    return estimate(series, method).value
 
 
 def _estimate_cell(args):
-    hurst, length, replicates, methods, base_seed, config = args
+    hurst, length, replicates, methods, base_seed = args
     rows = []
     for replicate in range(replicates):
         seed = child_seed(base_seed, hurst_key(hurst), length, replicate)
@@ -172,20 +165,20 @@ def _estimate_cell(args):
             continue
         for method in methods:
             try:
-                rows.append((method, replicate, _point_value(series, method, config), "ok"))
+                rows.append((method, replicate, _point_value(series, method), "ok"))
             except (DegenerateSeries, NoConvergence, ValueError) as exc:
                 rows.append((method, replicate, None, f"error:{type(exc).__name__}"))
     return hurst, length, rows
 
 
-def run_grid(grid: ExperimentGrid, config: EstimatorConfig = DEFAULT_CONFIG, threads: int = 1) -> GridResult:
+def run_grid(grid: ExperimentGrid, threads: int = 1) -> GridResult:
     """Run the full Monte-Carlo grid; all methods see identical series per cell.
 
     Individual replicate failures are recorded, not fatal; a
     (method, H, N) cell whose failure share exceeds 10% is flagged.
     """
     cells = [(h, n) for h in grid.hursts for n in grid.lengths]
-    tasks = [(h, n, grid.replicates, grid.methods, grid.base_seed, config) for h, n in cells]
+    tasks = [(h, n, grid.replicates, grid.methods, grid.base_seed) for h, n in cells]
     results = _parallel_map(_estimate_cell, tasks, threads)
 
     records: list[ReplicateRecord] = []
@@ -237,12 +230,12 @@ def find_nmin(summaries: Sequence[StatsSummary], method: Method, hurst: float) -
 
 
 def _convergence_task(args):
-    method, hurst, max_length, checkpoints, seed, config = args
+    method, hurst, max_length, checkpoints, seed = args
     series = synthesize_fgn(FgnSpec(hurst=hurst, length=max_length, seed=seed))
     values = []
     for t in checkpoints:
         try:
-            values.append(_point_value(series.values[:t], method, config))
+            values.append(_point_value(series.values[:t], method))
         except (DegenerateSeries, NoConvergence, ValueError):
             values.append(None)
     return values
@@ -255,7 +248,6 @@ def mean_convergence_curve(
     max_length: int = 2**16,
     t0: int = 2**6,
     tu: int = 200,
-    config: EstimatorConfig = DEFAULT_CONFIG,
     base_seed: int = 0,
     threads: int = 1,
 ) -> ConvergenceCurve:
@@ -275,8 +267,7 @@ def mean_convergence_curve(
     method = Method(method)
     checkpoints = tuple(range(t0, max_length + 1, tu))
     tasks = [
-        (method, hurst, max_length, checkpoints,
-         child_seed(base_seed, hurst_key(hurst), max_length, index), config)
+        (method, hurst, max_length, checkpoints, child_seed(base_seed, hurst_key(hurst), max_length, index))
         for index in range(series_count)
     ]
     per_series = _parallel_map(_convergence_task, tasks, threads)

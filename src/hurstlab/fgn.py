@@ -149,7 +149,9 @@ def synthesize_fgn(spec: FgnSpec) -> TimeSeries:
 def aggregate_blocks(series, m: int) -> TimeSeries:
     """Block-mean aggregation: floor(N/m) means of consecutive blocks of m.
 
-    Trailing samples that do not fill a block are dropped.
+    Trailing samples that do not fill a block are dropped.  No estimator
+    calls this; it is kept as a public helper and as the tests' oracle for
+    the self-similarity of synthesized fGn (variance and covariance scaling).
     """
     x = as_values(series)
     if m < 1:

@@ -50,15 +50,19 @@ def write_series_csv(path, series: ArrayLike) -> None:
 
 
 def read_series_csv(path) -> TimeSeries:
-    """Read a series file: one value per line, optional leading "value" header."""
+    """Read a series file: one value per line, optional "value" header on
+    the first non-blank line."""
     values = []
+    header_allowed = True
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.strip()
             if not text:
                 continue
-            if lineno == 1 and text.lower() == "value":
-                continue
+            if header_allowed:
+                header_allowed = False
+                if text.lower() == "value":
+                    continue
             try:
                 values.append(float(text))
             except ValueError as exc:

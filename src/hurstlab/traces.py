@@ -18,15 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import (
-    DEFAULT_CONFIG,
-    DegenerateSeries,
-    EstimatorConfig,
-    HurstEstimate,
-    Method,
-    NoConvergence,
-    estimate,
-)
+from .estimators import DegenerateSeries, HurstEstimate, Method, NoConvergence, estimate
 from .series import as_values
 
 
@@ -177,13 +169,7 @@ def bin_to_series(capture: Capture, bin_width: float, unit: Unit = Unit.BYTES) -
     return BinnedSeries(bin_width=float(bin_width), origin=float(origin), values=values, unit=unit)
 
 
-def sliding_window_scan(
-    series,
-    window: int,
-    stride: int,
-    method: Method,
-    config: EstimatorConfig = DEFAULT_CONFIG,
-) -> WindowScan:
+def sliding_window_scan(series, window: int, stride: int, method: Method) -> WindowScan:
     """Estimate H on every block [t_i, t_i + window), t_i = i * stride.
 
     Windows run while t_i + window <= len(series); ones that raise
@@ -203,7 +189,7 @@ def sliding_window_scan(
     failures: list[tuple[int, str]] = []
     for start in range(0, total - window + 1, stride):
         try:
-            points.append((start, estimate(x[start : start + window], method, config)))
+            points.append((start, estimate(x[start : start + window], method)))
         except (DegenerateSeries, NoConvergence, ValueError) as exc:
             failures.append((start, f"error:{type(exc).__name__}"))
     return WindowScan(
@@ -212,7 +198,10 @@ def sliding_window_scan(
 
 
 def window_count(total: int, window: int, stride: int) -> int:
-    """Closed-form number of windows: floor((M - window) / stride) + 1."""
+    """Closed-form number of windows: floor((M - window) / stride) + 1.
+
+    sliding_window_scan does not call this; it is kept as a public helper
+    and as the tests' oracle for the scan's window count."""
     return (total - window) // stride + 1
 
 

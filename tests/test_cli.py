@@ -205,6 +205,20 @@ class TestScan:
         manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
         assert manifest["status"].startswith("error:")
 
+    def test_mostly_failed_windows_flag_the_run(self, tmp_path, capsys):
+        # Whittle needs 64 samples, so every 32-sample window fails.
+        series = tmp_path / "series.csv"
+        write_series_csv(series, np.random.default_rng(5).standard_normal(1024))
+        out = tmp_path / "scan.csv"
+        rc = run_cli("scan", str(series), "--window", "32", "--method", "whittle", "--out", str(out))
+        assert rc == 3
+        assert "63 of 63" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
+        assert manifest["status"] == "error:flagged windows"
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 63
+        assert all(row.endswith(",error:ValueError") for row in rows)
+
     def test_default_stride_is_half_window(self, fgn08_file, tmp_path):
         out = tmp_path / "scan.csv"
         rc = run_cli("scan", str(fgn08_file), "--window", "512", "--out", str(out))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hurstlab.estimators import DEFAULT_CONFIG, Method, estimate
+from hurstlab.estimators import Method, estimate
 from hurstlab.evalharness import (
     ConvergenceCurve,
     ExperimentGrid,
@@ -122,7 +122,7 @@ class TestRunGrid:
         for record in result.records:
             seed = child_seed(9, hurst_key(0.7), 128, record.replicate)
             series = synthesize_fgn(FgnSpec(hurst=0.7, length=128, seed=seed))
-            expected = estimate(series, record.method, DEFAULT_CONFIG).value
+            expected = estimate(series, record.method).value
             assert record.estimate == pytest.approx(expected, abs=1e-12)
 
     def test_deterministic_across_thread_counts(self):

@@ -1,13 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from hurstlab.estimators import (
     DegenerateSeries,
-    EstimatorConfig,
     Method,
     estimate_periodogram,
     periodogram_of,
 )
+from hurstlab.estimators.periodogram import LOW_FRACTION
 from hurstlab.fgn import FgnSpec, child_seed, synthesize_fgn
 
 
@@ -88,11 +90,12 @@ class TestEstimatePeriodogram:
         b = estimate_periodogram(5.5 * x - 3.0).value
         assert abs(a - b) < 1e-6
 
-    def test_low_fraction_config(self):
-        x = synthesize_fgn(FgnSpec(hurst=0.8, length=2**12, seed=22))
-        wide = estimate_periodogram(x, EstimatorConfig(pgram_low_fraction=1.0))
-        narrow = estimate_periodogram(x)
-        assert wide.diagnostics["points_used"] > narrow.diagnostics["points_used"]
+    def test_fits_the_lowest_low_fraction_of_frequencies(self):
+        for length in (64, 1000, 2**12, 2**16):
+            x = synthesize_fgn(FgnSpec(hurst=0.8, length=length, seed=22))
+            m = periodogram_of(x)[0].size
+            used = estimate_periodogram(x).diagnostics["points_used"]
+            assert used == max(2, math.ceil(LOW_FRACTION * m))
 
     def test_diagnostics_keys(self):
         est = estimate_periodogram(synthesize_fgn(FgnSpec(hurst=0.6, length=1024, seed=2)))

@@ -41,6 +41,22 @@ def test_csv_optional_header(tmp_path):
     np.testing.assert_allclose(read_series_csv(path).values, [1.0, 2.0])
 
 
+def test_csv_header_after_leading_blank_lines(tmp_path):
+    path = tmp_path / "blank_then_header.csv"
+    path.write_text("\n  \nvalue\n1.0\n2.0\n")
+    np.testing.assert_allclose(read_series_csv(path).values, [1.0, 2.0])
+
+
+def test_csv_header_only_before_the_first_value(tmp_path):
+    path = tmp_path / "late_header.csv"
+    path.write_text("1.0\nvalue\n")
+    with pytest.raises(ValueError, match="line 2: not a number"):
+        read_series_csv(path)
+    path.write_text("value\nvalue\n1.0\n")
+    with pytest.raises(ValueError, match="line 2: not a number"):
+        read_series_csv(path)
+
+
 def test_csv_rejects_garbage(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0\nhello\n")

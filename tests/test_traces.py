@@ -215,6 +215,26 @@ class TestSlidingWindowScan:
         assert len(scan.points) + len(scan.failures) == window_count(1024, 256, 128)
 
 
+@st.composite
+def _scan_shape(draw):
+    total = draw(st.integers(2, 512))
+    window = draw(st.integers(2, total))
+    stride = draw(st.integers(1, window - 1))
+    return total, window, stride
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scan_shape())
+def test_scan_covers_every_window_start(shape):
+    total, window, stride = shape
+    # R/S needs 16 samples, so shorter windows land in failures.
+    x = np.random.default_rng(total).standard_normal(total)
+    scan = sliding_window_scan(x, window, stride, Method.RS)
+    assert len(scan.points) + len(scan.failures) == window_count(total, window, stride)
+    starts = sorted([t for t, _ in scan.points] + [t for t, _ in scan.failures])
+    assert starts == list(range(0, window_count(total, window, stride) * stride, stride))
+
+
 def test_window_scan_invariants():
     with pytest.raises(ValueError):
         WindowScan(window_length=10, stride=10, points=())

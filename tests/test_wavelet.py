@@ -3,7 +3,6 @@ import pytest
 
 from hurstlab.estimators import (
     DegenerateSeries,
-    EstimatorConfig,
     Method,
     daubechies_filter,
     dwt,
@@ -131,12 +130,6 @@ class TestEstimateAbryVeitch:
     def test_constant_series_degenerate(self):
         with pytest.raises((DegenerateSeries, ValueError)):
             estimate_abry_veitch(np.full(1024, 2.0))
-
-    def test_vanishing_moments_config(self):
-        x = synthesize_fgn(FgnSpec(hurst=0.8, length=2**14, seed=55))
-        db2 = estimate_abry_veitch(x, EstimatorConfig(wavelet_vanishing_moments=2)).value
-        db3 = estimate_abry_veitch(x).value
-        assert abs(db2 - db3) < 0.1
 
     def test_diagnostics_keys(self):
         est = estimate_abry_veitch(synthesize_fgn(FgnSpec(hurst=0.6, length=1024, seed=2)))

@@ -3,7 +3,6 @@ import pytest
 
 from hurstlab.estimators import (
     DegenerateSeries,
-    EstimatorConfig,
     Method,
     estimate_whittle,
     fgn_spectral_density,
@@ -139,9 +138,3 @@ class TestEstimateWhittle:
         est = estimate_whittle(synthesize_fgn(FgnSpec(hurst=0.6, length=1024, seed=2)))
         assert est.method is Method.WHITTLE
         assert {"objective", "evaluations", "curvature", "at_bound"} <= set(est.diagnostics)
-
-    def test_spectrum_terms_config(self):
-        x = synthesize_fgn(FgnSpec(hurst=0.8, length=1024, seed=4))
-        a = estimate_whittle(x, EstimatorConfig(whittle_spectrum_terms=50)).value
-        b = estimate_whittle(x).value
-        assert abs(a - b) < 1e-3
