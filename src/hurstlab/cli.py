@@ -252,7 +252,7 @@ def cmd_converge(args) -> int:
     if args.series_count < 1:
         raise UsageError("--series-count: must be positive")
     out = Path(args.out)
-    with _manifest_on_exit(out.with_name(out.name + ".manifest.json"), "converge", args, base_seed):
+    with _manifest_on_exit(out.with_name(out.name + ".manifest.json"), "converge", args, base_seed) as run:
         curve = mean_convergence_curve(
             method=methods[0],
             hurst=args.hurst,
@@ -265,6 +265,18 @@ def cmd_converge(args) -> int:
         )
         out.parent.mkdir(parents=True, exist_ok=True)
         write_convergence_csv(out, curve)
+        flagged = [
+            t for (t, _), count in zip(curve.checkpoints, curve.counts)
+            if args.series_count - count > FAILURE_FLAG_FRACTION * args.series_count
+        ]
+        if flagged:
+            run["status"] = "error:flagged checkpoints"
+            print(
+                f"warning: >10% series failures at {len(flagged)} of {len(curve.counts)} "
+                f"checkpoints, first at t={flagged[0]}",
+                file=sys.stderr,
+            )
+            return EXIT_RUNTIME
     return EXIT_OK
 
 

@@ -5,8 +5,9 @@ Filters are built by spectral factorization of the Daubechies half-band
 polynomial, so any number of vanishing moments is available without a
 wavelet dependency.  The transform uses periodic extension, the simplest
 exactly invertible convention, which also makes the per-octave
-coefficient counts reproducible: n_j = floor(N / 2^j) while the cascade
-length stays even.
+coefficient counts reproducible.  dwt stops when the cascade length turns
+odd; the variance path drops the last approximation coefficient there and
+goes on, so octave j always has n_j = floor(N / 2^j) coefficients.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ class ScaleVariance(NamedTuple):
 
 
 def dwt_detail_variances(series) -> list[ScaleVariance]:
-    """Mean squared detail coefficient per octave, with coefficient counts.
+    """Mean squared detail coefficient per octave, with coefficient counts
+    n_j = floor(N / 2^j).
 
     Octaves with fewer than MIN_COEFFS coefficients are dropped;
     at least 3 usable octaves are required.
@@ -123,7 +125,12 @@ def dwt_detail_variances(series) -> list[ScaleVariance]:
     x = as_values(series)
     if x.size < 2 ** (MIN_SCALE + 2):
         raise ValueError(f"wavelet analysis requires at least {2 ** (MIN_SCALE + 2)} samples")
-    details, _ = dwt(x)
+    details = []
+    approx = x
+    while approx.size >= 2:
+        # Where the cascade length is odd, drop the last approximation coefficient.
+        more, approx = dwt(approx[: approx.size // 2 * 2])
+        details.extend(more)
     usable = [
         ScaleVariance(scale=j, variance=float(np.mean(d**2)), count=int(d.size))
         for j, d in enumerate(details, start=1)

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .estimators import DegenerateSeries, Method, NoConvergence, estimate
+from .estimators.rs import rs_prefix_estimates
 from .estimators.whittle import whittle_point_value
 from .fgn import EmbeddingNotPSD, FgnSpec, child_seed, hurst_key, synthesize_fgn
 
@@ -232,6 +233,8 @@ def find_nmin(summaries: Sequence[StatsSummary], method: Method, hurst: float) -
 def _convergence_task(args):
     method, hurst, max_length, checkpoints, seed = args
     series = synthesize_fgn(FgnSpec(hurst=hurst, length=max_length, seed=seed))
+    if method is Method.RS:
+        return rs_prefix_estimates(series, checkpoints)
     values = []
     for t in checkpoints:
         try:
@@ -254,7 +257,8 @@ def mean_convergence_curve(
     """Average prefix estimates over replicated series at t0, t0+tu, t0+2*tu, ...
 
     Estimator failures are skipped per checkpoint; counts report how many
-    series contributed to each mean.
+    series contributed to each mean.  R/S fits every checkpoint of a series
+    in one sweep (rs_prefix_estimates); other methods fit each prefix.
     """
     if t0 < 64:
         raise ValueError("t0 must be at least 64")

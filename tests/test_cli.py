@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from hurstlab import cli
+from hurstlab import cli, evalharness
+from hurstlab.estimators import NoConvergence
 from hurstlab.fgn import EmbeddingNotPSD
 from hurstlab.series import write_series_csv
 
@@ -141,6 +142,8 @@ class TestConverge:
         lines = out.read_text().splitlines()
         assert lines[0] == "t,mean_estimate"
         assert [int(line.split(",")[0]) for line in lines[1:]] == [64, 264, 464, 664]
+        manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
+        assert manifest["status"] == "ok"
 
     def test_degenerate_single_row(self, tmp_path):
         out = tmp_path / "one.csv"
@@ -158,6 +161,27 @@ class TestConverge:
         assert rc == 3
         manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
         assert manifest["status"].startswith("error:")
+
+    def test_mostly_failed_checkpoints_flag_the_run(self, tmp_path, monkeypatch, capsys):
+        point_value = evalharness.whittle_point_value
+
+        def short_prefixes_fail(series):
+            if len(series) < 300:
+                raise NoConvergence("patched failure")
+            return point_value(series)
+
+        monkeypatch.setattr(evalharness, "whittle_point_value", short_prefixes_fail)
+        out = tmp_path / "curve.csv"
+        rc = run_cli(
+            "converge", "--method", "whittle", "--hurst", "0.8",
+            "--series-count", "2", "--max-length", "664", "--seed", "2", "--out", str(out),
+        )
+        assert rc == 3
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [t for t, mean in rows if mean == "nan"] == ["64", "264"]
+        manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
+        assert manifest["status"] == "error:flagged checkpoints"
+        assert "2 of 4 checkpoints, first at t=64" in capsys.readouterr().err
 
     def test_bad_t0_is_usage_error(self, tmp_path):
         rc = run_cli(

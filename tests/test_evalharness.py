@@ -207,6 +207,24 @@ class TestMeanConvergenceCurve:
         b = mean_convergence_curve(Method.WHITTLE, 0.8, threads=2, **kwargs)
         assert a == b
 
+    def test_rs_deterministic_across_thread_counts(self):
+        kwargs = dict(series_count=4, max_length=2000, t0=64, tu=37, base_seed=6)
+        a = mean_convergence_curve(Method.RS, 0.8, threads=1, **kwargs)
+        b = mean_convergence_curve(Method.RS, 0.8, threads=2, **kwargs)
+        assert a == b
+
+    def test_rs_curve_matches_per_prefix_estimates(self):
+        kwargs = dict(series_count=3, max_length=2000, t0=64, tu=97, base_seed=8)
+        curve = mean_convergence_curve(Method.RS, 0.7, **kwargs)
+        series = [
+            synthesize_fgn(FgnSpec(hurst=0.7, length=2000, seed=child_seed(8, hurst_key(0.7), 2000, i))).values
+            for i in range(3)
+        ]
+        for t, mean in curve.checkpoints:
+            direct = np.mean([estimate(x[:t], Method.RS).value for x in series])
+            assert mean == pytest.approx(direct, rel=0.0, abs=1e-12)
+        assert curve.counts == (3,) * len(curve.checkpoints)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             mean_convergence_curve(Method.WHITTLE, 0.8, t0=32)

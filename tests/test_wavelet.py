@@ -94,6 +94,13 @@ class TestDetailVariances:
         triples = dwt_detail_variances(np.random.default_rng(0).standard_normal(1024))
         assert [t.count for t in triples] == [512, 256, 128, 64, 32, 16, 8]
 
+    def test_odd_cascade_lengths_keep_floor_counts(self):
+        for n in (100, 4097, 1000):
+            triples = dwt_detail_variances(np.random.default_rng(n).standard_normal(n))
+            counts = [n // 2**j for j in range(1, n.bit_length()) if n // 2**j >= 8]
+            assert [t.count for t in triples] == counts
+            assert [t.scale for t in triples] == list(range(1, len(counts) + 1))
+
     def test_too_few_scales_rejected(self):
         with pytest.raises(ValueError):
             dwt_detail_variances(np.random.default_rng(0).standard_normal(16))
@@ -120,6 +127,24 @@ class TestEstimateAbryVeitch:
         est = estimate_abry_veitch(synthesize_fgn(FgnSpec(hurst=0.8, length=64, seed=5)))
         assert 0.0 < est.value < 1.0
         assert est.diagnostics["scale_range_reduced"] == 1.0
+
+    def test_odd_length_drops_the_trailing_sample(self):
+        # 4097 -> 4096 at the first octave, then a power of two all the way.
+        x = synthesize_fgn(FgnSpec(hurst=0.8, length=4097, seed=5)).values
+        assert estimate_abry_veitch(x).value == estimate_abry_veitch(x[:4096]).value
+
+    def test_length_100_returns_value(self):
+        # Octave counts 50, 25, 12: the cascade turns odd at 25 and goes on.
+        est = estimate_abry_veitch(synthesize_fgn(FgnSpec(hurst=0.8, length=100, seed=5)))
+        assert 0.0 < est.value < 1.0
+
+    def test_power_of_two_unchanged_by_truncation_path(self):
+        # dwt on a power of two runs to one coefficient without truncating,
+        # so the variances are the plain dwt's, bit for bit.
+        x = synthesize_fgn(FgnSpec(hurst=0.8, length=2**12, seed=55)).values
+        details, _ = dwt(x)
+        plain = [float(np.mean(d**2)) for d in details if d.size >= 8]
+        assert [t.variance for t in dwt_detail_variances(x)] == plain
 
     def test_shift_scale_equivariance(self):
         x = synthesize_fgn(FgnSpec(hurst=0.7, length=2**12, seed=54)).values
