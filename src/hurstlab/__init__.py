@@ -14,10 +14,8 @@ from .estimators import (
     periodogram_of,
 )
 from .fgn import (
-    AutocovarianceRing,
     EmbeddingNotPSD,
     FgnSpec,
-    aggregate_blocks,
     build_embedding,
     child_seed,
     synthesize_fgn,
@@ -28,7 +26,6 @@ from .series import TimeSeries, as_values, read_series_csv, write_series_csv
 __version__ = "0.1.0"
 
 __all__ = [
-    "AutocovarianceRing",
     "DegenerateSeries",
     "EmbeddingNotPSD",
     "FgnSpec",
@@ -36,7 +33,6 @@ __all__ = [
     "Method",
     "NoConvergence",
     "TimeSeries",
-    "aggregate_blocks",
     "as_values",
     "build_embedding",
     "child_seed",

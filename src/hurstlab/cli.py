@@ -138,6 +138,12 @@ def _methods_from(args, default=tuple(Method)) -> tuple[Method, ...]:
         raise UsageError(f"--method: must be one of {choices}") from exc
 
 
+def _threads_from(args) -> int:
+    if args.threads < 1:
+        raise UsageError("--threads: must be at least 1")
+    return args.threads
+
+
 def cmd_synth(args) -> int:
     base_seed = _base_seed(args)
     try:
@@ -213,10 +219,11 @@ def cmd_bench(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(f"--hursts/--lengths/--replicates: {exc}") from exc
+    threads = _threads_from(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with _manifest_on_exit(out_dir / "manifest.json", "bench", args, base_seed) as run:
-        result = run_grid(grid, threads=args.threads)
+        result = run_grid(grid, threads=threads)
         write_summary_csv(out_dir / "summary.csv", result.summaries)
         write_replicates_csv(out_dir / "replicates.csv", result.records)
         for method in grid.methods:
@@ -241,28 +248,27 @@ def cmd_converge(args) -> int:
     methods = _methods_from(args, default=(Method.WHITTLE,))
     if len(methods) != 1:
         raise UsageError("--method: converge takes exactly one method")
-    if not 0.0 < args.hurst < 1.0:
-        raise UsageError("--hurst: hurst must be in (0,1)")
-    if args.t0 < 64:
-        raise UsageError("--t0: must be at least 64")
-    if args.max_length < args.t0:
-        raise UsageError("--max-length: must be at least --t0")
-    if args.tu < 1:
-        raise UsageError("--tu: must be positive")
-    if args.series_count < 1:
-        raise UsageError("--series-count: must be positive")
+    threads = _threads_from(args)
     out = Path(args.out)
     with _manifest_on_exit(out.with_name(out.name + ".manifest.json"), "converge", args, base_seed) as run:
-        curve = mean_convergence_curve(
-            method=methods[0],
-            hurst=args.hurst,
-            series_count=args.series_count,
-            max_length=args.max_length,
-            t0=args.t0,
-            tu=args.tu,
-            base_seed=base_seed,
-            threads=args.threads,
-        )
+        try:
+            curve = mean_convergence_curve(
+                method=methods[0],
+                hurst=args.hurst,
+                series_count=args.series_count,
+                max_length=args.max_length,
+                t0=args.t0,
+                tu=args.tu,
+                base_seed=base_seed,
+                threads=threads,
+            )
+        except EmbeddingNotPSD:
+            raise
+        except ValueError as exc:
+            # The harness checks its plan before any work, and each message
+            # starts with the parameter's name, as in "t0 must be at least 64".
+            flag = "--" + str(exc).split()[0].replace("_", "-")
+            raise UsageError(f"{flag}: {exc}") from exc
         out.parent.mkdir(parents=True, exist_ok=True)
         write_convergence_csv(out, curve)
         flagged = [

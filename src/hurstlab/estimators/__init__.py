@@ -12,15 +12,8 @@ Flags are encoded as 0.0 / 1.0.
 
 from .base import DegenerateSeries, HurstEstimate, Method, NoConvergence
 from .periodogram import estimate_periodogram, periodogram_of
-from .rs import estimate_rs, rescaled_range
-from .wavelet import (
-    daubechies_filter,
-    dwt,
-    dwt_detail_variances,
-    estimate_abry_veitch,
-    idwt,
-    quadrature_mirror,
-)
+from .rs import estimate_rs
+from .wavelet import dwt, dwt_detail_variances, estimate_abry_veitch, quadrature_mirror
 from .whittle import estimate_whittle, fgn_spectral_density, minimize_whittle, whittle_objective
 
 _DISPATCH = {
@@ -41,7 +34,6 @@ __all__ = [
     "HurstEstimate",
     "Method",
     "NoConvergence",
-    "daubechies_filter",
     "dwt",
     "dwt_detail_variances",
     "estimate",
@@ -50,10 +42,8 @@ __all__ = [
     "estimate_rs",
     "estimate_whittle",
     "fgn_spectral_density",
-    "idwt",
     "minimize_whittle",
     "periodogram_of",
     "quadrature_mirror",
-    "rescaled_range",
     "whittle_objective",
 ]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.fft
 
 from ..series import as_values
 from .base import DegenerateSeries, HurstEstimate, Method, clamp_hurst, loglog_fit
@@ -28,7 +27,7 @@ def periodogram_of(series) -> tuple[np.ndarray, np.ndarray]:
     n = x.size
     if n < 16:
         raise ValueError("periodogram requires at least 16 samples")
-    spectrum = scipy.fft.rfft(x - x.mean(), overwrite_x=True)[1 : (n - 1) // 2 + 1]
+    spectrum = np.fft.rfft(x - x.mean())[1 : (n - 1) // 2 + 1]
     freqs = 2.0 * np.pi * np.arange(1, spectrum.size + 1) / n
     powers = (spectrum.real**2 + spectrum.imag**2) / (2.0 * np.pi * n)
     return freqs, powers

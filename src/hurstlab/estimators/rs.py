@@ -82,17 +82,6 @@ def _prefix_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate([[0.0], np.cumsum(x)]), np.concatenate([[0.0], np.cumsum(x * x)]), changes
 
 
-def rescaled_range(series, size: int) -> float:
-    """Mean R/S statistic over the non-overlapping blocks of the given size.
-
-    estimate_rs does not call this; it is kept as a public helper that
-    exposes one point of the R/S fit, which the tests check block by block."""
-    x = as_values(series)
-    if size < 2 or size > x.size:
-        raise ValueError("block size must be in [2, series length]")
-    return _mean_rs(x, _prefix_sums(x), size, np.empty(x.size))
-
-
 def estimate_rs(series) -> HurstEstimate:
     """H as the log-log slope of the mean rescaled range against block size."""
     x = as_values(series)

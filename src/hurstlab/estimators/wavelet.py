@@ -1,13 +1,14 @@
 """Wavelet scaling analysis: periodic Daubechies pyramid DWT and the
 variance-of-details regression estimator of Veitch & Abry (1998).
 
-Filters are built by spectral factorization of the Daubechies half-band
-polynomial, so any number of vanishing moments is available without a
-wavelet dependency.  The transform uses periodic extension, the simplest
-exactly invertible convention, which also makes the per-octave
-coefficient counts reproducible.  dwt stops when the cascade length turns
-odd; the variance path drops the last approximation coefficient there and
-goes on, so octave j always has n_j = floor(N / 2^j) coefficients.
+The analysing wavelet is db3, the extremal-phase Daubechies wavelet with
+three vanishing moments; its low-pass taps are stored as literals and its
+high-pass is their quadrature mirror.  The transform uses periodic
+extension, the simplest exactly invertible convention, which also makes
+the per-octave coefficient counts reproducible.  dwt stops when the
+cascade length turns odd; the variance path drops the last approximation
+coefficient there and goes on, so octave j always has
+n_j = floor(N / 2^j) coefficients.
 """
 
 from __future__ import annotations
@@ -22,36 +23,10 @@ from .base import DegenerateSeries, HurstEstimate, Method, clamp_hurst, loglog_f
 
 _LN2_SQ = math.log(2.0) ** 2
 
-# Daubechies vanishing moments of the analysing wavelet (db3).
-VANISHING_MOMENTS = 3
 # The finest octave the regression fits; finer ones carry filter transients.
 MIN_SCALE = 3
 # Octaves with fewer detail coefficients than this are dropped.
 MIN_COEFFS = 8
-
-
-def daubechies_filter(moments: int) -> np.ndarray:
-    """Orthonormal Daubechies low-pass filter with the given vanishing moments.
-
-    Length 2 * moments, extremal-phase convention, sum sqrt(2).
-    """
-    if moments < 1:
-        raise ValueError("need at least one vanishing moment")
-    if moments == 1:
-        return np.array([1.0, 1.0]) / np.sqrt(2.0)
-    # Half-band residual P(y) = sum_k C(p-1+k, k) y^k with y = (2 - z - 1/z)/4.
-    p = moments
-    residual = np.array([math.comb(p - 1 + k, k) for k in range(p)], dtype=float)
-    roots_inside = []
-    for y in np.roots(residual[::-1]):
-        # z^2 - (2 - 4y) z + 1 = 0; keep the root inside the unit circle.
-        b = 2.0 - 4.0 * y
-        disc = np.sqrt(b * b - 4.0 + 0j)
-        z1, z2 = (b + disc) / 2.0, (b - disc) / 2.0
-        roots_inside.append(z1 if abs(z1) < 1.0 else z2)
-    taps = np.real(np.convolve(np.poly(roots_inside), np.poly([-1.0] * p)))
-    taps *= np.sqrt(2.0) / taps.sum()
-    return taps
 
 
 def quadrature_mirror(lowpass: np.ndarray) -> np.ndarray:
@@ -60,25 +35,24 @@ def quadrature_mirror(lowpass: np.ndarray) -> np.ndarray:
     return signs * lowpass[::-1]
 
 
-def _analysis_step(approx, lowpass, highpass):
+# db3 low-pass taps, extremal phase (Daubechies 1992, Table 6.1); they sum to sqrt(2).
+DB3_LOWPASS = np.array([
+    0.3326705529500827, 0.8068915093110927, 0.45987750211849154,
+    -0.1350110200102546, -0.08544127388202664, 0.03522629188570957,
+])
+DB3_HIGHPASS = quadrature_mirror(DB3_LOWPASS)
+
+
+def _analysis_step(approx):
     length = approx.size
     starts = 2 * np.arange(length // 2)
     smooth = np.zeros(length // 2)
     detail = np.zeros(length // 2)
-    for offset, (h_tap, g_tap) in enumerate(zip(lowpass, highpass)):
+    for offset, (h_tap, g_tap) in enumerate(zip(DB3_LOWPASS, DB3_HIGHPASS)):
         segment = approx[(starts + offset) % length]
         smooth += h_tap * segment
         detail += g_tap * segment
     return smooth, detail
-
-
-def _synthesis_step(smooth, detail, lowpass, highpass):
-    length = 2 * smooth.size
-    starts = 2 * np.arange(smooth.size)
-    approx = np.zeros(length)
-    for offset, (h_tap, g_tap) in enumerate(zip(lowpass, highpass)):
-        np.add.at(approx, (starts + offset) % length, h_tap * smooth + g_tap * detail)
-    return approx
 
 
 def dwt(series):
@@ -87,26 +61,11 @@ def dwt(series):
     Decomposition continues while the cascade length stays even.
     """
     approx = as_values(series).copy()
-    lowpass = daubechies_filter(VANISHING_MOMENTS)
-    highpass = quadrature_mirror(lowpass)
     details = []
     while approx.size >= 2 and approx.size % 2 == 0:
-        approx, detail = _analysis_step(approx, lowpass, highpass)
+        approx, detail = _analysis_step(approx)
         details.append(detail)
     return details, approx
-
-
-def idwt(details, approx) -> np.ndarray:
-    """Inverse of dwt: rebuild the series from its full coefficient set.
-
-    No estimator calls this; it is kept as the tests' oracle for dwt
-    (perfect reconstruction) and as a public helper."""
-    lowpass = daubechies_filter(VANISHING_MOMENTS)
-    highpass = quadrature_mirror(lowpass)
-    current = np.asarray(approx, dtype=float)
-    for detail in reversed(details):
-        current = _synthesis_step(current, np.asarray(detail, dtype=float), lowpass, highpass)
-    return current
 
 
 class ScaleVariance(NamedTuple):

@@ -194,29 +194,27 @@ def minimize_whittle(objective):
     return result
 
 
-def whittle_point_value(series) -> float:
-    """Whittle point estimate only: the same minimization as estimate_whittle
-    without the CI curvature stencil.  Intended for bulk benchmarking."""
+def _fit(series):
+    """Minimize the Whittle contrast of a series; returns (objective, result)."""
     from .periodogram import periodogram_of
 
     x = as_values(series)
     if x.size < 64:
         raise ValueError("whittle estimation requires at least 64 samples")
-    freqs, powers = periodogram_of(x)
-    result = minimize_whittle(whittle_objective(freqs, powers))
+    objective = whittle_objective(*periodogram_of(x))
+    return objective, minimize_whittle(objective)
+
+
+def whittle_point_value(series) -> float:
+    """Whittle point estimate only: the same minimization as estimate_whittle
+    without the CI curvature stencil.  Intended for bulk benchmarking."""
+    _, result = _fit(series)
     return float(result.x)
 
 
 def estimate_whittle(series) -> HurstEstimate:
     """Whittle estimate with a 95% CI from the objective curvature at the minimum."""
-    from .periodogram import periodogram_of
-
-    x = as_values(series)
-    if x.size < 64:
-        raise ValueError("whittle estimation requires at least 64 samples")
-    freqs, powers = periodogram_of(x)
-    objective = whittle_objective(freqs, powers)
-    result = minimize_whittle(objective)
+    objective, result = _fit(series)
     value = float(result.x)
 
     step = 1e-2

@@ -143,7 +143,8 @@ def classify_precision(bias: float, std_dev: float) -> Precision:
 def _parallel_map(task, items, threads):
     if threads is None or threads <= 1 or len(items) <= 1:
         return [task(item) for item in items]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    # The pool forks all its workers at the first submit: start no idle ones.
+    with ProcessPoolExecutor(max_workers=min(threads, len(items))) as pool:
         return list(pool.map(task, items))
 
 
@@ -260,6 +261,8 @@ def mean_convergence_curve(
     series contributed to each mean.  R/S fits every checkpoint of a series
     in one sweep (rs_prefix_estimates); other methods fit each prefix.
     """
+    if not 0.0 < hurst < 1.0:
+        raise ValueError("hurst must be in (0,1)")
     if t0 < 64:
         raise ValueError("t0 must be at least 64")
     if max_length < t0:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TimeSeries, as_values
+from .series import TimeSeries
 
 _MASK64 = (1 << 64) - 1
 
@@ -70,19 +70,6 @@ class FgnSpec:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
-@dataclass(frozen=True)
-class AutocovarianceRing:
-    """Covariance sequence plus the eigenvalues of its circulant extension.
-
-    lags holds rho(0..N-1); embedding_eigenvalues holds the DFT of the
-    size-2N ring rho(0..N), rho(N-1..1), clamped at zero after the
-    nonnegativity check.
-    """
-
-    lags: np.ndarray
-    embedding_eigenvalues: np.ndarray
-
-
 def target_autocovariance(hurst: float, variance: float, lag):
     """Autocovariance rho(k) of exact second-order self-similar increments.
 
@@ -105,9 +92,10 @@ def target_autocovariance(hurst: float, variance: float, lag):
     return rho
 
 
-def build_embedding(spec: FgnSpec) -> AutocovarianceRing:
-    """Build the 2N circulant ring for spec and check its spectrum.
+def build_embedding(spec: FgnSpec) -> np.ndarray:
+    """Eigenvalues of the 2N circulant ring for spec, clamped at zero.
 
+    The ring is rho(0..N), rho(N-1..1); its eigenvalues are its DFT.
     Raises EmbeddingNotPSD if any eigenvalue is below -EIG_TOLERANCE * variance
     (not expected for fGn with 0 < H < 1).
     """
@@ -122,7 +110,7 @@ def build_embedding(spec: FgnSpec) -> AutocovarianceRing:
             f"embedding eigenvalue {worst:.3e} below tolerance {floor:.3e} "
             f"for H={spec.hurst}, N={n}"
         )
-    return AutocovarianceRing(lags=rho[:n], embedding_eigenvalues=np.maximum(eigenvalues, 0.0))
+    return np.maximum(eigenvalues, 0.0)
 
 
 def synthesize_fgn(spec: FgnSpec) -> TimeSeries:
@@ -132,7 +120,7 @@ def synthesize_fgn(spec: FgnSpec) -> TimeSeries:
     normals g; g[0] and g[1] fill the two real spectral slots, g[2:N+1]
     and g[N+1:] the real/imaginary parts of the conjugate-paired slots.
     """
-    ring = build_embedding(spec)
+    eigenvalues = build_embedding(spec)
     n = spec.length
     m = 2 * n
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(spec.seed))))
@@ -142,21 +130,6 @@ def synthesize_fgn(spec: FgnSpec) -> TimeSeries:
     z[n] = g[1]
     z[1:n] = (g[2 : n + 1] + 1j * g[n + 1 :]) / np.sqrt(2.0)
     z[n + 1 :] = np.conj(z[1:n][::-1])
-    x = np.sqrt(m) * np.fft.ifft(np.sqrt(ring.embedding_eigenvalues) * z).real[:n]
+    x = np.sqrt(m) * np.fft.ifft(np.sqrt(eigenvalues) * z).real[:n]
     return TimeSeries(x)
 
-
-def aggregate_blocks(series, m: int) -> TimeSeries:
-    """Block-mean aggregation: floor(N/m) means of consecutive blocks of m.
-
-    Trailing samples that do not fill a block are dropped.  No estimator
-    calls this; it is kept as a public helper and as the tests' oracle for
-    the self-similarity of synthesized fGn (variance and covariance scaling).
-    """
-    x = as_values(series)
-    if m < 1:
-        raise ValueError("aggregation factor m must be at least 1")
-    if m > x.size:
-        raise ValueError("aggregation factor m exceeds series length")
-    blocks = x.size // m
-    return TimeSeries(x[: blocks * m].reshape(blocks, m).mean(axis=1))

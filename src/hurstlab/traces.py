@@ -197,14 +197,6 @@ def sliding_window_scan(series, window: int, stride: int, method: Method) -> Win
     )
 
 
-def window_count(total: int, window: int, stride: int) -> int:
-    """Closed-form number of windows: floor((M - window) / stride) + 1.
-
-    sliding_window_scan does not call this; it is kept as a public helper
-    and as the tests' oracle for the scan's window count."""
-    return (total - window) // stride + 1
-
-
 def write_window_scan_csv(path, scan: WindowScan, bin_width: float = 1.0, origin: float = 0.0) -> None:
     """Window-scan CSV: t_start_index, t_start_seconds, H, ci_low, ci_high, status."""
     rows: dict[int, tuple] = {}

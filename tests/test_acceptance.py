@@ -28,7 +28,6 @@ from hurstlab.estimators import (
     estimate_periodogram,
     estimate_rs,
     fgn_spectral_density,
-    idwt,
     minimize_whittle,
     periodogram_of,
     whittle_objective,
@@ -41,7 +40,8 @@ from hurstlab.evalharness import (
     run_grid,
 )
 from hurstlab.fgn import FgnSpec, child_seed, hurst_key, synthesize_fgn, target_autocovariance
-from hurstlab.traces import Capture, Unit, bin_to_series, sliding_window_scan, window_count
+from hurstlab.traces import Capture, Unit, bin_to_series, sliding_window_scan
+from oracles import idwt, window_count
 
 ACCEPT_SEED = 1234
 THREADS = 2

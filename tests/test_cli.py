@@ -17,6 +17,29 @@ def raise_not_psd(*args, **kwargs):
     raise EmbeddingNotPSD("eigenvalue -1")
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Stand in for the harness's process pool: record each pool's
+    max_workers and run its tasks in this process, so no process starts."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, task, items):
+            return map(task, items)
+
+    monkeypatch.setattr(evalharness, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
 class TestSynth:
     def test_writes_series_of_requested_length(self, tmp_path):
         out = tmp_path / "series.csv"
@@ -130,6 +153,14 @@ class TestBench:
         rc = run_cli("bench", "--hursts", "0.8", "--lengths", "32,64", "--out", str(tmp_path / "x"))
         assert rc == 2
 
+    def test_pool_has_no_more_workers_than_cells(self, tmp_path, pool_sizes):
+        rc = run_cli(
+            "bench", "--hursts", "0.7,0.8", "--lengths", "64", "--replicates", "2",
+            "--method", "rs", "--threads", "64", "--out", str(tmp_path / "b"),
+        )
+        assert rc == 0
+        assert pool_sizes == [2]
+
 
 class TestConverge:
     def test_small_curve(self, tmp_path):
@@ -189,6 +220,33 @@ class TestConverge:
             "--t0", "32", "--out", str(tmp_path / "x.csv"),
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--hurst", "1.5"), ("--t0", "32"), ("--max-length", "32"), ("--tu", "0"), ("--series-count", "0")],
+    )
+    def test_bad_plan_names_the_flag(self, flag, value, tmp_path, capsys):
+        argv = {"--hurst": "0.8", "--series-count": "1", "--max-length": "64", flag: value}
+        args = [item for pair in argv.items() for item in pair]
+        rc = run_cli("converge", "--method", "rs", *args, "--out", str(tmp_path / "x.csv"))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
+    def test_pool_has_no_more_workers_than_series(self, tmp_path, pool_sizes):
+        rc = run_cli(
+            "converge", "--method", "rs", "--hurst", "0.8", "--series-count", "2",
+            "--max-length", "264", "--threads", "64", "--out", str(tmp_path / "c.csv"),
+        )
+        assert rc == 0
+        assert pool_sizes == [2]
+
+
+@pytest.mark.parametrize("command", ["bench", "converge"])
+def test_threads_below_one_is_usage_error(command, tmp_path, capsys):
+    argv = ["--hurst", "0.8"] if command == "converge" else []
+    rc = run_cli(command, *argv, "--threads", "0", "--out", str(tmp_path / "x"))
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --threads: ")
 
 
 class TestScan:

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from hurstlab.evalharness import DEFAULT_HURSTS, DEFAULT_LENGTHS, ExperimentGrid
 from hurstlab.fgn import (
     EmbeddingNotPSD,
     FgnSpec,
-    aggregate_blocks,
     build_embedding,
     child_seed,
+    hurst_key,
     synthesize_fgn,
     target_autocovariance,
 )
+from oracles import aggregate_blocks
 
 
 def naive_dft_real(x):
@@ -84,32 +86,31 @@ class TestFgnSpec:
 
 class TestBuildEmbedding:
     def test_white_noise_spectrum_is_flat(self):
-        ring = build_embedding(FgnSpec(hurst=0.5, length=8, variance=2.0))
-        assert np.allclose(ring.embedding_eigenvalues, 2.0, atol=1e-12)
-        assert ring.lags[0] == 2.0
+        eigenvalues = build_embedding(FgnSpec(hurst=0.5, length=8, variance=2.0))
+        assert np.allclose(eigenvalues, 2.0, atol=1e-12)
 
     def test_eigenvalues_match_naive_dft_h08(self):
         spec = FgnSpec(hurst=0.8, length=2**6)
-        ring = build_embedding(spec)
+        eigenvalues = build_embedding(spec)
         rho = target_autocovariance(0.8, 1.0, np.arange(spec.length + 1))
         circ = np.concatenate([rho, rho[-2:0:-1]])
         reference = naive_dft_real(circ)
         assert reference.min() >= -1e-10
-        np.testing.assert_allclose(ring.embedding_eigenvalues, np.maximum(reference, 0.0), atol=1e-9)
+        np.testing.assert_allclose(eigenvalues, np.maximum(reference, 0.0), atol=1e-9)
 
     def test_eigenvalues_match_naive_dft_h09(self):
         spec = FgnSpec(hurst=0.9, length=2**10)
-        ring = build_embedding(spec)
+        eigenvalues = build_embedding(spec)
         rho = target_autocovariance(0.9, 1.0, np.arange(spec.length + 1))
         circ = np.concatenate([rho, rho[-2:0:-1]])
         reference = naive_dft_real(circ)
         assert reference.min() >= -1e-8
-        np.testing.assert_allclose(ring.embedding_eigenvalues, np.maximum(reference, 0.0), atol=1e-7)
+        np.testing.assert_allclose(eigenvalues, np.maximum(reference, 0.0), atol=1e-7)
 
     def test_full_size_h09_nonnegative(self):
-        ring = build_embedding(FgnSpec(hurst=0.9, length=2**16))
-        assert ring.embedding_eigenvalues.min() >= 0.0
-        assert ring.embedding_eigenvalues.size == 2**17
+        eigenvalues = build_embedding(FgnSpec(hurst=0.9, length=2**16))
+        assert eigenvalues.min() >= 0.0
+        assert eigenvalues.size == 2**17
 
 
 class TestSynthesizeFgn:
@@ -197,3 +198,28 @@ def test_child_seed_stable_and_distinct():
     assert child_seed(1, 2, 3) == child_seed(1, 2, 3)
     assert child_seed(1, 2, 3) != child_seed(1, 3, 2)
     assert 0 <= child_seed(123, 456) < 2**64
+
+
+@pytest.mark.parametrize("base_seed", [0, 1234])
+def test_child_seeds_distinct_over_the_default_grid(base_seed):
+    replicates = ExperimentGrid().replicates
+    seeds = {
+        child_seed(base_seed, hurst_key(h), n, r)
+        for h in DEFAULT_HURSTS
+        for n in DEFAULT_LENGTHS
+        for r in range(replicates)
+    }
+    assert len(seeds) == len(DEFAULT_HURSTS) * len(DEFAULT_LENGTHS) * replicates == 11000
+
+
+def test_sibling_replicates_uncorrelated():
+    # White noise (H = 0.5), so the sample cross-correlation of two
+    # independent series has standard deviation 1/sqrt(N).
+    n = 2**12
+    series = [
+        synthesize_fgn(FgnSpec(hurst=0.5, length=n, seed=child_seed(1234, hurst_key(0.5), n, r))).values
+        for r in range(4)
+    ]
+    for a in range(4):
+        for b in range(a + 1, 4):
+            assert abs(np.corrcoef(series[a], series[b])[0, 1]) < 4.5 / np.sqrt(n)

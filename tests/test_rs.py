@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hurstlab.estimators import DegenerateSeries, Method, estimate_rs, rescaled_range
-from hurstlab.estimators.rs import _block_sizes, rs_prefix_estimates
+from hurstlab.estimators import DegenerateSeries, Method, estimate_rs
+from hurstlab.estimators.rs import _block_sizes, _mean_rs, _prefix_sums, rs_prefix_estimates
 from hurstlab.estimators.whittle import whittle_point_value
 from hurstlab.fgn import FgnSpec, child_seed, synthesize_fgn
 
@@ -19,8 +19,10 @@ def _direct_rescaled_range(x, size):
 def test_rescaled_range_matches_direct_computation():
     rng = np.random.default_rng(0)
     x = rng.normal(2.0, 3.0, 1000)
+    work = np.empty(x.size)
     for size in (8, 16, 33, 100):
-        assert rescaled_range(x, size) == pytest.approx(_direct_rescaled_range(x, size), rel=1e-10)
+        mean_rs = _mean_rs(x, _prefix_sums(x), size, work)
+        assert mean_rs == pytest.approx(_direct_rescaled_range(x, size), rel=1e-10)
 
 
 def test_estimate_rs_matches_direct_fit_at_convergence_length():

@@ -18,9 +18,9 @@ from hurstlab.traces import (
     bin_to_series,
     parse_capture_csv,
     sliding_window_scan,
-    window_count,
     write_window_scan_csv,
 )
+from oracles import window_count
 
 
 class TestParseCaptureCsv:
