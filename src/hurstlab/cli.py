@@ -2,9 +2,12 @@
 
 Every run writes a JSON manifest alongside its outputs (embedded in the
 report for stdout-only runs).  Exit codes: 0 success, 2 usage/validation,
-3 runtime or numeric failure.  The base seed comes from --seed, the
-HURSTLAB_SEED environment variable, or 0, in that order.  estimate and
-scan draw no random numbers, so for them the seed only reaches the manifest.
+3 runtime or numeric failure.  A rejected flag (an unwritable --out too)
+prints "error: --<flag>: ..." and exits 2; synth, bench, converge and scan
+record it in their manifest as "error:UsageError: ...".  The base seed
+comes from --seed, the HURSTLAB_SEED environment variable, or 0, in that
+order.  estimate and scan draw no random numbers, so for them the seed
+only reaches the manifest.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .estimators import DegenerateSeries, Method, NoConvergence, estimate
+from .estimators import FIT_FAILURES, DegenerateSeries, Method, NoConvergence, estimate
 from .evalharness import (
-    FAILURE_FLAG_FRACTION,
     ExperimentGrid,
     find_nmin,
     mean_convergence_curve,
@@ -32,8 +34,6 @@ from .evalharness import (
 from .fgn import EmbeddingNotPSD, FgnSpec, synthesize_fgn
 from .series import read_series_csv, write_series_csv
 from .traces import (
-    EmptyCapture,
-    ParseError,
     Unit,
     bin_to_series,
     parse_capture_csv,
@@ -84,37 +84,67 @@ def _manifest(command: str, args, base_seed: int, started: str, status: str) -> 
 
 
 def _write_manifest(path: Path, manifest: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
 @contextlib.contextmanager
+def _out_errors():
+    """An output that cannot be written is a usage error of --out."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"--out: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _plan_errors(args):
+    """Turn a plan that a library call rejects into a UsageError for its flag: each
+    plan check's ValueError starts with the parameter's name ("t0 must be ...")."""
+    try:
+        yield
+    except ValueError as exc:
+        name = str(exc).partition(" ")[0]
+        if name not in vars(args):
+            raise
+        raise UsageError(f"--{name.replace('_', '-')}: {exc}") from exc
+
+
+@contextlib.contextmanager
 def _manifest_on_exit(path: Path, command: str, args, base_seed: int):
-    """Write the run manifest to path however the block exits.  The status
-    is "ok", or what the block sets as run["status"], or the escaping exception."""
+    """Create path's directory, then write the run manifest there however the block
+    exits: "ok", what the block sets as run["status"], or the escaping exception."""
     run = {"status": "ok"}
     started = _now()
     try:
+        with _out_errors():
+            path.parent.mkdir(parents=True, exist_ok=True)
         yield run
     except BaseException as exc:
         run["status"] = f"error:{type(exc).__name__}: {exc}"
+        with contextlib.suppress(OSError):
+            _write_manifest(path, _manifest(command, args, base_seed, started, run["status"]))
         raise
-    finally:
+    with _out_errors():
         _write_manifest(path, _manifest(command, args, base_seed, started, run["status"]))
 
 
+def _flag_run(run: dict, what: str, *warnings: str) -> int:
+    """A run whose fits failed too often: warn, record the status, exit 3."""
+    run["status"] = f"error:flagged {what}"
+    for warning in warnings:
+        print(f"warning: >10% {warning}", file=sys.stderr)
+    return EXIT_RUNTIME
+
+
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    """Comma list of integers; "A..B" expands to the powers of two from A to B."""
+    """Comma list of integers; "A..B" gives A, 2A, 4A, ... up to B."""
     try:
         if ".." in text:
             lo, hi = (int(part) for part in text.split("..", 1))
-            if lo < 1:
-                raise UsageError(f"{flag}: range must start at 1 or above")
             values = []
-            n = lo
-            while n <= hi:
-                values.append(n)
-                n *= 2
+            while 0 < lo <= hi:
+                values.append(lo)
+                lo *= 2
             return tuple(values)
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
@@ -129,36 +159,25 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
 
 
 def _methods_from(args, default=tuple(Method)) -> tuple[Method, ...]:
-    if not args.method:
-        return tuple(default)
-    try:
-        return tuple(dict.fromkeys(Method(name) for name in args.method))
-    except ValueError as exc:
-        choices = ", ".join(m.value for m in Method)
-        raise UsageError(f"--method: must be one of {choices}") from exc
+    return tuple(dict.fromkeys(Method(name) for name in args.method)) if args.method else default
 
 
-def _threads_from(args) -> int:
-    if args.threads < 1:
-        raise UsageError("--threads: must be at least 1")
-    return args.threads
+def _one_method(args) -> Method:
+    methods = _methods_from(args, default=(Method.WHITTLE,))
+    if len(methods) != 1:
+        raise UsageError(f"--method: {args.command} takes exactly one method")
+    return methods[0]
 
 
 def cmd_synth(args) -> int:
     base_seed = _base_seed(args)
-    try:
-        spec = FgnSpec(hurst=args.hurst, length=args.length, variance=args.variance, seed=base_seed)
-    except ValueError as exc:
-        flag = next(
-            (f"--{name}" for name in ("hurst", "variance", "length", "seed") if name in str(exc)),
-            "--seed",
-        )
-        raise UsageError(f"{flag}: {exc}") from exc
     out = Path(args.out)
     with _manifest_on_exit(out.with_name(out.name + ".manifest.json"), "synth", args, base_seed):
+        with _plan_errors(args):
+            spec = FgnSpec(hurst=args.hurst, length=args.length, variance=args.variance, seed=base_seed)
         series = synthesize_fgn(spec)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        write_series_csv(out, series)
+        with _out_errors():
+            write_series_csv(out, series)
     return EXIT_OK
 
 
@@ -189,7 +208,7 @@ def cmd_estimate(args) -> int:
                     "diagnostics": dict(result.diagnostics),
                 }
             )
-        except (DegenerateSeries, NoConvergence, ValueError) as exc:
+        except FIT_FAILURES as exc:
             failed = True
             entries.append({"method": method.value, "error": f"{type(exc).__name__}: {exc}"})
     status = "ok" if not failed else "error:estimator failure"
@@ -201,141 +220,98 @@ def cmd_estimate(args) -> int:
     print(text)
     if args.out is not None:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n", encoding="utf-8")
-        _write_manifest(out.with_name(out.name + ".manifest.json"), report["manifest"])
+        with _out_errors():
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(text + "\n", encoding="utf-8")
+            _write_manifest(out.with_name(out.name + ".manifest.json"), report["manifest"])
     return EXIT_RUNTIME if failed else EXIT_OK
 
 
 def cmd_bench(args) -> int:
     base_seed = _base_seed(args)
-    try:
-        grid = ExperimentGrid(
-            hursts=_parse_float_list(args.hursts, "--hursts"),
-            lengths=_parse_int_list(args.lengths, "--lengths"),
-            replicates=args.replicates,
-            methods=_methods_from(args),
-            base_seed=base_seed,
-        )
-    except ValueError as exc:
-        raise UsageError(f"--hursts/--lengths/--replicates: {exc}") from exc
-    threads = _threads_from(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with _manifest_on_exit(out_dir / "manifest.json", "bench", args, base_seed) as run:
-        result = run_grid(grid, threads=threads)
-        write_summary_csv(out_dir / "summary.csv", result.summaries)
-        write_replicates_csv(out_dir / "replicates.csv", result.records)
+        with _plan_errors(args):
+            grid = ExperimentGrid(
+                hursts=_parse_float_list(args.hursts, "--hursts"),
+                lengths=_parse_int_list(args.lengths, "--lengths"),
+                replicates=args.replicates,
+                methods=_methods_from(args),
+                base_seed=base_seed,
+            )
+            result = run_grid(grid, threads=args.threads)
+        with _out_errors():
+            write_summary_csv(out_dir / "summary.csv", result.summaries)
+            write_replicates_csv(out_dir / "replicates.csv", result.records)
         for method in grid.methods:
             for hurst in grid.hursts:
                 nmin = find_nmin(result.summaries, method, hurst)
                 shown = nmin if nmin is not None else "none"
                 print(f"N_min method={method.value} H={hurst:g}: {shown}")
         if result.flagged:
-            run["status"] = "error:flagged cells"
-            for method, hurst, length in result.flagged:
-                print(
-                    f"warning: >10% replicate failures for method={method.value} "
-                    f"H={hurst:g} N={length}",
-                    file=sys.stderr,
-                )
-            return EXIT_RUNTIME
+            return _flag_run(run, "cells", *(
+                f"replicate failures for method={method.value} H={hurst:g} N={length}"
+                for method, hurst, length in result.flagged))
     return EXIT_OK
 
 
 def cmd_converge(args) -> int:
     base_seed = _base_seed(args)
-    methods = _methods_from(args, default=(Method.WHITTLE,))
-    if len(methods) != 1:
-        raise UsageError("--method: converge takes exactly one method")
-    threads = _threads_from(args)
     out = Path(args.out)
     with _manifest_on_exit(out.with_name(out.name + ".manifest.json"), "converge", args, base_seed) as run:
-        try:
+        method = _one_method(args)
+        with _plan_errors(args):
             curve = mean_convergence_curve(
-                method=methods[0],
+                method=method,
                 hurst=args.hurst,
                 series_count=args.series_count,
                 max_length=args.max_length,
                 t0=args.t0,
                 tu=args.tu,
                 base_seed=base_seed,
-                threads=threads,
+                threads=args.threads,
             )
-        except EmbeddingNotPSD:
-            raise
-        except ValueError as exc:
-            # The harness checks its plan before any work, and each message
-            # starts with the parameter's name, as in "t0 must be at least 64".
-            flag = "--" + str(exc).split()[0].replace("_", "-")
-            raise UsageError(f"{flag}: {exc}") from exc
-        out.parent.mkdir(parents=True, exist_ok=True)
-        write_convergence_csv(out, curve)
-        flagged = [
-            t for (t, _), count in zip(curve.checkpoints, curve.counts)
-            if args.series_count - count > FAILURE_FLAG_FRACTION * args.series_count
-        ]
-        if flagged:
-            run["status"] = "error:flagged checkpoints"
-            print(
-                f"warning: >10% series failures at {len(flagged)} of {len(curve.counts)} "
-                f"checkpoints, first at t={flagged[0]}",
-                file=sys.stderr,
-            )
-            return EXIT_RUNTIME
+        with _out_errors():
+            write_convergence_csv(out, curve)
+        if curve.flagged:
+            return _flag_run(run, "checkpoints", f"series failures at {len(curve.flagged)} of "
+                             f"{len(curve.counts)} checkpoints, first at t={curve.flagged[0]}")
     return EXIT_OK
 
 
-def _load_scan_input(path: str, args):
+def _load_scan_input(args):
     """A scan input is a capture CSV (by header) or a plain series file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            first = ""
-            for line in fh:
-                if line.strip():
-                    first = line.strip()
-                    break
+        with open(args.path, "r", encoding="utf-8") as fh:
+            first = next((line.strip() for line in fh if line.strip()), "")
+        if first.lower() == "timestamp,bytes":
+            binned = bin_to_series(parse_capture_csv(args.path), bin_width=args.bin_width, unit=args.unit)
+            return binned.values, binned.bin_width, binned.origin
+        return read_series_csv(args.path).values, 1.0, 0.0
     except OSError as exc:
-        raise UsageError(f"path: cannot read {path}: {exc}") from exc
-    if first.lower() == "timestamp,bytes":
-        try:
-            binned = bin_to_series(parse_capture_csv(path), bin_width=args.bin_width, unit=Unit(args.unit))
-        except (ParseError, EmptyCapture, ValueError) as exc:
-            raise UsageError(f"path: {exc}") from exc
-        return binned.values, binned.bin_width, binned.origin
-    try:
-        series = read_series_csv(path)
+        raise UsageError(f"path: cannot read {args.path}: {exc}") from exc
     except ValueError as exc:
+        # ParseError and EmptyCapture are ValueErrors too.
         raise UsageError(f"path: {exc}") from exc
-    return series.values, 1.0, 0.0
 
 
 def cmd_scan(args) -> int:
     base_seed = _base_seed(args)
-    if args.bin_width <= 0:
-        raise UsageError("--bin-width: must be positive")
-    methods = _methods_from(args, default=(Method.WHITTLE,))
-    if len(methods) != 1:
-        raise UsageError("--method: scan takes exactly one method")
-    values, bin_width, origin = _load_scan_input(args.path, args)
-    stride = args.stride if args.stride is not None else args.window // 2
-    if stride >= args.window:
-        raise UsageError("--stride: must be smaller than --window (inter-window gap below the window length)")
-    if stride < 1:
-        raise UsageError("--stride: must be at least 1")
-    if args.window > values.size:
-        raise UsageError(f"--window: exceeds series length {values.size}")
-
     out = Path(args.out)
     with _manifest_on_exit(out.with_name(out.name + ".manifest.json"), "scan", args, base_seed) as run:
-        scan = sliding_window_scan(values, args.window, stride, methods[0])
-        out.parent.mkdir(parents=True, exist_ok=True)
-        write_window_scan_csv(out, scan, bin_width=bin_width, origin=origin)
-        windows = len(scan.points) + len(scan.failures)
-        if len(scan.failures) > FAILURE_FLAG_FRACTION * windows:
-            run["status"] = "error:flagged windows"
-            print(f"warning: >10% window failures: {len(scan.failures)} of {windows}", file=sys.stderr)
-            return EXIT_RUNTIME
+        # A plain series never reaches bin_to_series, so this is its only check.
+        if not args.bin_width > 0:
+            raise UsageError("--bin-width: bin_width must be positive")
+        method = _one_method(args)
+        values, bin_width, origin = _load_scan_input(args)
+        stride = args.stride if args.stride is not None else args.window // 2
+        with _plan_errors(args):
+            scan = sliding_window_scan(values, args.window, stride, method)
+        with _out_errors():
+            write_window_scan_csv(out, scan, bin_width=bin_width, origin=origin)
+        if scan.flagged:
+            windows = len(scan.points) + len(scan.failures)
+            return _flag_run(run, "windows", f"window failures: {len(scan.failures)} of {windows}")
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ value for a*x + b as for x (a > 0).  Diagnostics carry a stable key set:
 Flags are encoded as 0.0 / 1.0.
 """
 
-from .base import DegenerateSeries, HurstEstimate, Method, NoConvergence
+from .base import FIT_FAILURES, DegenerateSeries, HurstEstimate, Method, NoConvergence, too_many_failures
 from .periodogram import estimate_periodogram, periodogram_of
 from .rs import estimate_rs
 from .wavelet import dwt, dwt_detail_variances, estimate_abry_veitch, quadrature_mirror
@@ -31,6 +31,7 @@ def estimate(series, method) -> HurstEstimate:
 
 __all__ = [
     "DegenerateSeries",
+    "FIT_FAILURES",
     "HurstEstimate",
     "Method",
     "NoConvergence",
@@ -45,5 +46,6 @@ __all__ = [
     "minimize_whittle",
     "periodogram_of",
     "quadrature_mirror",
+    "too_many_failures",
     "whittle_objective",
 ]

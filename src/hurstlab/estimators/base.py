@@ -24,6 +24,18 @@ class NoConvergence(RuntimeError):
     """The Whittle objective minimization did not isolate a minimum."""
 
 
+# What one failed fit raises: batch runs record these per fit and go on.
+FIT_FAILURES = (DegenerateSeries, NoConvergence, ValueError)
+
+# Share of failed fits above which a grid cell, checkpoint or scan is flagged.
+FAILURE_FLAG_FRACTION = 0.10
+
+
+def too_many_failures(failures: int, total: int) -> bool:
+    """Whether failures out of total fits flag their cell, checkpoint or scan."""
+    return failures > FAILURE_FLAG_FRACTION * total
+
+
 # Out-of-range regression slopes are mapped into this open interval and
 # flagged rather than raised, so benchmark grids can record wild
 # short-series estimates instead of aborting.

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import DegenerateSeries, Method, NoConvergence, estimate
+from .estimators import FIT_FAILURES, Method, estimate, too_many_failures
 from .estimators.rs import rs_prefix_estimates
 from .estimators.whittle import whittle_point_value
 from .fgn import EmbeddingNotPSD, FgnSpec, child_seed, hurst_key, synthesize_fgn
@@ -25,9 +25,6 @@ from .fgn import EmbeddingNotPSD, FgnSpec, child_seed, hurst_key, synthesize_fgn
 DEFAULT_HURSTS = (0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_LENGTHS = tuple(2**i for i in range(6, 17))
 ALL_METHODS = (Method.RS, Method.PERIODOGRAM, Method.WHITTLE, Method.ABRY_VEITCH)
-
-# Share of failed replicates above which a (method, H, N) cell is flagged.
-FAILURE_FLAG_FRACTION = 0.10
 
 
 class Precision(str, Enum):
@@ -90,7 +87,7 @@ class ExperimentGrid:
         if self.replicates < 2:
             raise ValueError("replicates must be at least 2")
         if not methods:
-            raise ValueError("at least one method is required")
+            raise ValueError("methods must be non-empty")
         object.__setattr__(self, "hursts", hursts)
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "methods", methods)
@@ -111,6 +108,7 @@ class ConvergenceCurve:
     hurst_nominal: float
     checkpoints: tuple[tuple[int, float], ...]
     counts: tuple[int, ...]
+    flagged: tuple[int, ...] = ()
 
 
 def summarize_replicates(estimates: Sequence[float], nominal: float) -> ReplicateStats:
@@ -141,7 +139,9 @@ def classify_precision(bias: float, std_dev: float) -> Precision:
 
 
 def _parallel_map(task, items, threads):
-    if threads is None or threads <= 1 or len(items) <= 1:
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    if threads == 1 or len(items) <= 1:
         return [task(item) for item in items]
     # The pool forks all its workers at the first submit: start no idle ones.
     with ProcessPoolExecutor(max_workers=min(threads, len(items))) as pool:
@@ -168,7 +168,7 @@ def _estimate_cell(args):
         for method in methods:
             try:
                 rows.append((method, replicate, _point_value(series, method), "ok"))
-            except (DegenerateSeries, NoConvergence, ValueError) as exc:
+            except FIT_FAILURES as exc:
                 rows.append((method, replicate, None, f"error:{type(exc).__name__}"))
     return hurst, length, rows
 
@@ -194,8 +194,7 @@ def run_grid(grid: ExperimentGrid, threads: int = 1) -> GridResult:
                 for _, rep, value, status in method_rows
             )
             values = [value for _, _, value, status in method_rows if status == "ok"]
-            failures = grid.replicates - len(values)
-            if failures > FAILURE_FLAG_FRACTION * grid.replicates:
+            if too_many_failures(grid.replicates - len(values), grid.replicates):
                 flagged.append((method, hurst, length))
             if len(values) >= 2:
                 stats = summarize_replicates(values, hurst)
@@ -240,7 +239,7 @@ def _convergence_task(args):
     for t in checkpoints:
         try:
             values.append(_point_value(series.values[:t], method))
-        except (DegenerateSeries, NoConvergence, ValueError):
+        except FIT_FAILURES:
             values.append(None)
     return values
 
@@ -258,7 +257,8 @@ def mean_convergence_curve(
     """Average prefix estimates over replicated series at t0, t0+tu, t0+2*tu, ...
 
     Estimator failures are skipped per checkpoint; counts report how many
-    series contributed to each mean.  R/S fits every checkpoint of a series
+    series contributed to each mean, and flagged lists the checkpoints
+    where too many series failed.  R/S fits every checkpoint of a series
     in one sweep (rs_prefix_estimates); other methods fit each prefix.
     """
     if not 0.0 < hurst < 1.0:
@@ -285,8 +285,11 @@ def mean_convergence_curve(
         values = [row[position] for row in per_series if row[position] is not None]
         counts.append(len(values))
         means.append((t, float(np.mean(values)) if values else float("nan")))
+    flagged = tuple(
+        t for t, count in zip(checkpoints, counts) if too_many_failures(series_count - count, series_count)
+    )
     return ConvergenceCurve(
-        method=method, hurst_nominal=hurst, checkpoints=tuple(means), counts=tuple(counts)
+        method=method, hurst_nominal=hurst, checkpoints=tuple(means), counts=tuple(counts), flagged=flagged
     )
 
 

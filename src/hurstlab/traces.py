@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import DegenerateSeries, HurstEstimate, Method, NoConvergence, estimate
+from .estimators import FIT_FAILURES, HurstEstimate, Method, estimate, too_many_failures
 from .series import as_values
 
 
@@ -98,6 +98,11 @@ class WindowScan:
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("window starts must be strictly increasing")
 
+    @property
+    def flagged(self) -> bool:
+        """Whether too many windows failed for the scan to be trusted."""
+        return too_many_failures(len(self.failures), len(self.points) + len(self.failures))
+
 
 def parse_capture_csv(source) -> Capture:
     """Parse a capture CSV (header "timestamp,bytes") into a Capture sorted by time.
@@ -158,7 +163,7 @@ def bin_to_series(capture: Capture, bin_width: float, unit: Unit = Unit.BYTES) -
     bin start); the last bin is the one containing the final frame, and
     empty interior bins hold zero.
     """
-    if bin_width <= 0:
+    if not bin_width > 0:
         raise ValueError("bin_width must be positive")
     unit = Unit(unit)
     origin = math.floor(capture.times.min() / bin_width) * bin_width
@@ -180,8 +185,8 @@ def sliding_window_scan(series, window: int, stride: int, method: Method) -> Win
         series = series.values
     x = as_values(series)
     total = x.size
-    if window > total:
-        raise ValueError("window exceeds series length")
+    if not 2 <= window <= total:
+        raise ValueError(f"window must be at least 2 and at most the series length {total}")
     if not 1 <= stride < window:
         raise ValueError("stride must satisfy 1 <= stride < window")
     method = Method(method)
@@ -190,7 +195,7 @@ def sliding_window_scan(series, window: int, stride: int, method: Method) -> Win
     for start in range(0, total - window + 1, stride):
         try:
             points.append((start, estimate(x[start : start + window], method)))
-        except (DegenerateSeries, NoConvergence, ValueError) as exc:
+        except FIT_FAILURES as exc:
             failures.append((start, f"error:{type(exc).__name__}"))
     return WindowScan(
         window_length=window, stride=stride, points=tuple(points), failures=tuple(failures)

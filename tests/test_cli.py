@@ -317,3 +317,90 @@ def test_unknown_command_is_usage_error():
 def test_version_flag(capsys):
     assert run_cli("--version") == 0
     assert "hurstlab" in capsys.readouterr().out
+
+
+@pytest.fixture
+def series_file(tmp_path):
+    path = tmp_path / "series.csv"
+    write_series_csv(path, np.random.default_rng(8).standard_normal(1024))
+    return path
+
+
+# Each command's base argv is a valid, quick plan; a case appends flags
+# that override it, so exactly one flag is wrong.
+BASE_ARGV = {
+    "synth": ["--hurst", "0.8", "--length", "64"],
+    "bench": ["--hursts", "0.8", "--lengths", "64", "--replicates", "2", "--method", "rs"],
+    "converge": ["--hurst", "0.8", "--series-count", "1", "--max-length", "64"],
+    "scan": ["--window", "256"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, argv, flag",
+    [
+        ("synth", "--hurst 1.2", "--hurst"),
+        ("synth", "--hurst nan", "--hurst"),
+        ("synth", "--length 1", "--length"),
+        ("synth", "--variance 0", "--variance"),
+        ("synth", "--seed -1", "--seed"),
+        ("bench", "--hursts 0.8,1.5", "--hursts"),
+        ("bench", "--hursts abc", "--hursts"),
+        ("bench", "--lengths 32,64", "--lengths"),
+        ("bench", "--lengths 0..64", "--lengths"),
+        ("bench", "--lengths 64,x", "--lengths"),
+        ("bench", "--replicates 1", "--replicates"),
+        ("bench", "--threads 0", "--threads"),
+        ("converge", "--hurst 1.5", "--hurst"),
+        ("converge", "--t0 32", "--t0"),
+        ("converge", "--max-length 32", "--max-length"),
+        ("converge", "--tu 0", "--tu"),
+        ("converge", "--series-count 0", "--series-count"),
+        ("converge", "--threads 0", "--threads"),
+        ("converge", "--method rs --method whittle", "--method"),
+        ("scan", "--window 0", "--window"),
+        ("scan", "--window -8", "--window"),
+        ("scan", "--window 2048", "--window"),
+        ("scan", "--stride 256", "--stride"),
+        ("scan", "--stride 0", "--stride"),
+        ("scan", "--bin-width 0", "--bin-width"),
+        ("scan", "--bin-width nan", "--bin-width"),
+        ("scan", "--method rs --method whittle", "--method"),
+    ],
+)
+def test_rejected_plan_names_the_flag_and_is_recorded(command, argv, flag, series_file, tmp_path, capsys):
+    path = [str(series_file)] if command == "scan" else []
+    if command == "bench":
+        out, manifest = tmp_path / "out", tmp_path / "out" / "manifest.json"
+    else:
+        out, manifest = tmp_path / "out.csv", tmp_path / "out.csv.manifest.json"
+    rc = run_cli(command, *path, *BASE_ARGV[command], *argv.split(), "--out", str(out))
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert json.loads(manifest.read_text())["status"].startswith(f"error:UsageError: {flag}:")
+
+
+@pytest.mark.parametrize("command", ["synth", "estimate", "bench", "converge", "scan"])
+def test_out_under_a_regular_file_is_usage_error(command, series_file, tmp_path, capsys):
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    argv = {**BASE_ARGV, "estimate": ["--method", "rs"]}[command]
+    path = [str(series_file)] if command in ("estimate", "scan") else []
+    rc = run_cli(command, *path, *argv, "--out", str(regular / "x"))
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --out: ")
+
+
+@pytest.mark.parametrize("hurst, flag", [("1.2", "--hurst"), ("0.8", "--out")])
+def test_unwritable_manifest_does_not_hide_the_error(hurst, flag, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    (tmp_path / "x.csv.manifest.json").mkdir()
+    rc = run_cli("synth", "--hurst", hurst, "--length", "64", "--out", str(out))
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
+
+def test_lengths_range_doubles_from_its_start():
+    assert cli._parse_int_list("100..1000", "--lengths") == (100, 200, 400, 800)
+    assert cli._parse_int_list("64..256", "--lengths") == (64, 128, 256)
+    assert cli._parse_int_list("64..63", "--lengths") == ()
