@@ -44,6 +44,8 @@ from .traces import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
+# scan's bin width for a capture when --bin-width is not given, in seconds.
+CAPTURE_BIN_WIDTH = 0.01
 
 
 class UsageError(Exception):
@@ -245,7 +247,7 @@ def cmd_bench(args) -> int:
             write_replicates_csv(out_dir / "replicates.csv", result.records)
         for method in grid.methods:
             for hurst in grid.hursts:
-                nmin = find_nmin(result.summaries, method, hurst)
+                nmin = find_nmin(result.summaries, method, hurst, grid.lengths)
                 shown = nmin if nmin is not None else "none"
                 print(f"N_min method={method.value} H={hurst:g}: {shown}")
         if result.flagged:
@@ -285,9 +287,11 @@ def _load_scan_input(args):
         with open(args.path, "r", encoding="utf-8") as fh:
             first = next((line.strip() for line in fh if line.strip()), "")
         if first.lower() == "timestamp,bytes":
-            binned = bin_to_series(parse_capture_csv(args.path), bin_width=args.bin_width, unit=args.unit)
+            bin_width = CAPTURE_BIN_WIDTH if args.bin_width is None else args.bin_width
+            binned = bin_to_series(parse_capture_csv(args.path), bin_width=bin_width, unit=args.unit)
             return binned.values, binned.bin_width, binned.origin
-        return read_series_csv(args.path).values, 1.0, 0.0
+        # A plain series' samples are one second apart unless --bin-width says otherwise.
+        return read_series_csv(args.path).values, 1.0 if args.bin_width is None else args.bin_width, 0.0
     except OSError as exc:
         raise UsageError(f"path: cannot read {args.path}: {exc}") from exc
     except ValueError as exc:
@@ -300,7 +304,7 @@ def cmd_scan(args) -> int:
     out = Path(args.out)
     with _manifest_on_exit(out.with_name(out.name + ".manifest.json"), "scan", args, base_seed) as run:
         # A plain series never reaches bin_to_series, so this is its only check.
-        if not args.bin_width > 0:
+        if args.bin_width is not None and not args.bin_width > 0:
             raise UsageError("--bin-width: bin_width must be positive")
         method = _one_method(args)
         values, bin_width, origin = _load_scan_input(args)
@@ -365,7 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--window", type=int, required=True)
     scan.add_argument("--stride", type=int, default=None)
     scan.add_argument("--method", action="append", choices=[m.value for m in Method])
-    scan.add_argument("--bin-width", dest="bin_width", type=float, default=0.01)
+    scan.add_argument("--bin-width", dest="bin_width", type=float, default=None,
+                      help=f"seconds per sample (default: {CAPTURE_BIN_WIDTH:g} for a capture, 1 for a series)")
     scan.add_argument("--unit", choices=[u.value for u in Unit], default="bytes")
     scan.add_argument("--seed", type=int, default=None)
     scan.add_argument("--out", required=True)

@@ -20,7 +20,7 @@ import numpy as np
 from .estimators import FIT_FAILURES, Method, estimate, too_many_failures
 from .estimators.rs import rs_prefix_estimates
 from .estimators.whittle import whittle_point_value
-from .fgn import EmbeddingNotPSD, FgnSpec, child_seed, hurst_key, synthesize_fgn
+from .fgn import EmbeddingNotPSD, FgnSpec, check_seed, child_seed, hurst_key, synthesize_fgn
 
 DEFAULT_HURSTS = (0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_LENGTHS = tuple(2**i for i in range(6, 17))
@@ -88,6 +88,7 @@ class ExperimentGrid:
             raise ValueError("replicates must be at least 2")
         if not methods:
             raise ValueError("methods must be non-empty")
+        check_seed(self.base_seed)
         object.__setattr__(self, "hursts", hursts)
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "methods", methods)
@@ -212,19 +213,26 @@ def run_grid(grid: ExperimentGrid, threads: int = 1) -> GridResult:
     return GridResult(summaries=tuple(summaries), records=tuple(records), flagged=tuple(flagged))
 
 
-def find_nmin(summaries: Sequence[StatsSummary], method: Method, hurst: float) -> Optional[int]:
-    """Smallest N whose cell and every larger cell classify as high precision."""
-    rows = sorted(
-        (s for s in summaries if s.method is Method(method) and abs(s.hurst_nominal - hurst) < 1e-9),
-        key=lambda s: s.length,
-    )
-    if not rows:
+def find_nmin(
+    summaries: Sequence[StatsSummary], method: Method, hurst: float, lengths: Sequence[int] = ()
+) -> Optional[int]:
+    """Smallest N whose cell and every larger cell classify as high precision.
+
+    lengths names the grid's cells; one without a summary (fewer than 2
+    successful replicates) is not high precision.
+    """
+    precision = {
+        s.length: s.precision
+        for s in summaries
+        if s.method is Method(method) and abs(s.hurst_nominal - hurst) < 1e-9
+    }
+    if not precision and not lengths:
         raise ValueError(f"no summaries for method={method} at H={hurst}")
     nmin: Optional[int] = None
-    for row in rows:
-        if row.precision is Precision.HIGH_PRECISION:
+    for length in sorted(set(precision) | set(lengths)):
+        if precision.get(length) is Precision.HIGH_PRECISION:
             if nmin is None:
-                nmin = row.length
+                nmin = length
         else:
             nmin = None
     return nmin
@@ -271,6 +279,7 @@ def mean_convergence_curve(
         raise ValueError("tu must be positive")
     if series_count < 1:
         raise ValueError("series_count must be positive")
+    check_seed(base_seed)
     method = Method(method)
     checkpoints = tuple(range(t0, max_length + 1, tu))
     tasks = [

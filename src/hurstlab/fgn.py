@@ -45,6 +45,12 @@ def child_seed(base_seed: int, *keys: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
+def check_seed(seed: int) -> None:
+    """Reject a seed that child_seed and SeedSequence would not keep whole."""
+    if not 0 <= int(seed) <= _MASK64:
+        raise ValueError("seed must fit in 64 unsigned bits")
+
+
 def hurst_key(hurst: float) -> int:
     """Integer key for a Hurst value, for use with child_seed."""
     return int(round(float(hurst) * 1e9))
@@ -66,8 +72,7 @@ class FgnSpec:
             raise ValueError("variance must be positive")
         if self.length < 2:
             raise ValueError("length must be at least 2")
-        if not 0 <= int(self.seed) <= _MASK64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        check_seed(self.seed)
 
 
 def target_autocovariance(hurst: float, variance: float, lag):

@@ -153,6 +153,40 @@ class TestBench:
         rc = run_cli("bench", "--hursts", "0.8", "--lengths", "32,64", "--out", str(tmp_path / "x"))
         assert rc == 2
 
+    def test_cell_without_estimates_gives_no_nmin(self, tmp_path, monkeypatch, capsys):
+        def fail(series, method):
+            raise NoConvergence("patched failure")
+
+        monkeypatch.setattr(evalharness, "estimate", fail)
+        out = tmp_path / "b"
+        rc = run_cli(
+            "bench", "--hursts", "0.8", "--lengths", "64", "--replicates", "2",
+            "--method", "rs", "--out", str(out),
+        )
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "N_min method=rs H=0.8: none" in captured.out
+        assert "Traceback" not in captured.err
+        assert json.loads((out / "manifest.json").read_text())["status"] == "error:flagged cells"
+
+    def test_largest_cell_without_estimates_gives_no_nmin(self, tmp_path, monkeypatch, capsys):
+        # Every shorter cell is exact, so only the failed largest cell stands
+        # between N = 64 and a printed N_min.
+        def exact_below_256(series):
+            if len(series) >= 256:
+                raise NoConvergence("patched failure")
+            return 0.8
+
+        monkeypatch.setattr(evalharness, "whittle_point_value", exact_below_256)
+        out = tmp_path / "b"
+        rc = run_cli(
+            "bench", "--hursts", "0.8", "--lengths", "64,128,256", "--replicates", "4",
+            "--method", "whittle", "--seed", "3", "--out", str(out),
+        )
+        assert rc == 3
+        assert "N_min method=whittle H=0.8: none" in capsys.readouterr().out
+        assert json.loads((out / "manifest.json").read_text())["status"] == "error:flagged cells"
+
     def test_pool_has_no_more_workers_than_cells(self, tmp_path, pool_sizes):
         rc = run_cli(
             "bench", "--hursts", "0.7,0.8", "--lengths", "64", "--replicates", "2",
@@ -301,6 +335,25 @@ class TestScan:
         assert len(rows) == 63
         assert all(row.endswith(",error:ValueError") for row in rows)
 
+    def test_series_seconds_follow_bin_width(self, series_file, tmp_path):
+        rows = {}
+        for name, argv in (("default", []), ("given", ["--bin-width", "0.01"])):
+            out = tmp_path / f"{name}.csv"
+            assert run_cli("scan", str(series_file), "--window", "256", "--method", "rs", *argv,
+                           "--out", str(out)) == 0
+            rows[name] = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
+        assert rows["default"][:2] == [["0", "0"], ["128", "128"]]
+        assert rows["given"][:2] == [["0", "0"], ["128", "1.28"]]
+
+    def test_capture_bin_width_defaults_to_10_ms(self, capture_file, tmp_path):
+        outs = []
+        for name, argv in (("default", []), ("given", ["--bin-width", "0.01"])):
+            out = tmp_path / f"{name}.csv"
+            assert run_cli("scan", str(capture_file), "--window", "256", "--method", "rs", *argv,
+                           "--out", str(out)) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_default_stride_is_half_window(self, fgn08_file, tmp_path):
         out = tmp_path / "scan.csv"
         rc = run_cli("scan", str(fgn08_file), "--window", "512", "--out", str(out))
@@ -351,6 +404,9 @@ BASE_ARGV = {
         ("bench", "--lengths 64,x", "--lengths"),
         ("bench", "--replicates 1", "--replicates"),
         ("bench", "--threads 0", "--threads"),
+        ("bench", "--seed -1", "--seed"),
+        ("bench", "--seed 18446744073709551616", "--seed"),
+        ("bench", "--seed=-18446744073709551616", "--seed"),
         ("converge", "--hurst 1.5", "--hurst"),
         ("converge", "--t0 32", "--t0"),
         ("converge", "--max-length 32", "--max-length"),
@@ -358,6 +414,8 @@ BASE_ARGV = {
         ("converge", "--series-count 0", "--series-count"),
         ("converge", "--threads 0", "--threads"),
         ("converge", "--method rs --method whittle", "--method"),
+        ("converge", "--seed -1", "--seed"),
+        ("converge", "--seed 18446744073709551616", "--seed"),
         ("scan", "--window 0", "--window"),
         ("scan", "--window -8", "--window"),
         ("scan", "--window 2048", "--window"),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import zeta
 
 from hurstlab.estimators import (
     DegenerateSeries,
@@ -22,6 +23,14 @@ def brute_force_density(hurst, lam, terms=10**6):
     return (1.0 - np.cos(lam)) * s
 
 
+def hurwitz_density(hurst, lam):
+    """The alias sum in closed form, by two-argument (Hurwitz) zeta:
+    lambda^-s + (2 pi)^-s [zeta(s, 1 + lambda/2pi) + zeta(s, 1 - lambda/2pi)]."""
+    s = 2.0 * hurst + 1.0
+    u = lam / (2.0 * np.pi)
+    return (1.0 - np.cos(lam)) * (lam**-s + (2.0 * np.pi) ** -s * (zeta(s, 1.0 + u) + zeta(s, 1.0 - u)))
+
+
 class TestSpectralDensity:
     def test_white_noise_density_is_flat(self):
         lams = np.linspace(1e-4, np.pi, 200)
@@ -38,6 +47,11 @@ class TestSpectralDensity:
         slow = brute_force_density(0.8, lam)
         assert abs(fast - slow) < 1e-3 * slow
 
+    @pytest.mark.parametrize("hurst", [0.01, 0.05, 0.3, 0.5, 0.8, 0.95, 0.99])
+    def test_against_hurwitz_zeta(self, hurst):
+        lams = np.array([1e-4, 0.5, 1.0, 2.0, 3.0, np.pi])
+        np.testing.assert_allclose(fgn_spectral_density(hurst, lams), hurwitz_density(hurst, lams), rtol=3e-8)
+
     def test_monotone_near_nyquist(self):
         assert fgn_spectral_density(0.8, np.pi) < fgn_spectral_density(0.8, np.pi / 2)
         assert fgn_spectral_density(0.8, np.pi) > 0
@@ -51,9 +65,9 @@ class TestSpectralDensity:
             fgn_spectral_density(1.1, 1.0)
 
     def test_fast_surface_matches_direct_sum(self):
-        # the tabulated evaluator inside the objective must reproduce the
-        # reference density within the documented truncation accuracy (1e-6
-        # relative), far below the estimator tolerance
+        # the objective must equal the profiled contrast computed from
+        # fgn_spectral_density within 1e-6 relative, far below the
+        # estimator tolerance
         rng = np.random.default_rng(3)
         n = 512
         freqs = 2.0 * np.pi * np.arange(1, (n - 1) // 2 + 1) / n
