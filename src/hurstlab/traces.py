@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -110,13 +111,48 @@ def parse_capture_csv(source) -> Capture:
     Accepts a path, a text or byte stream, or raw bytes.  Frames with equal
     times keep their file order.  Raises ParseError with the offending line
     number, or EmptyCapture when no records follow the header.
+
+    A path or bytes is read in one C pass.  If that pass fails for any
+    reason, the text is read again line by line, which names the bad line;
+    both accept and reject exactly the same files.  A stream given by the
+    caller is read line by line.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
-            return parse_capture_csv(fh)
+            return _parse_text(fh)
     if isinstance(source, bytes):
-        return parse_capture_csv(io.StringIO(source.decode("utf-8")))
+        return _parse_text(io.StringIO(source.decode("utf-8")))
+    return _parse_lines(source)
 
+
+def _parse_text(fh) -> Capture:
+    """Read a UTF-8 text stream positioned at its start: one pass, else the loop."""
+    try:
+        return _parse_columns(fh)
+    except (ValueError, DeprecationWarning):
+        fh.seek(0)
+        return _parse_lines(fh)
+
+
+def _parse_columns(fh) -> Capture:
+    """Read a capture in one np.loadtxt pass; raise ValueError or
+    DeprecationWarning on any row the line loop might read differently, or
+    reject."""
+    if fh.readline().strip().lower() != "timestamp,bytes":
+        raise ValueError("header is not on the first line")
+    # comments=None: the loop rejects "1.5,2 # x".  Rows loadtxt reads but
+    # the loop rejects (bad times or sizes, no rows at all) fail in Capture.
+    # numpy 1.x reads a size such as "2.0" with a DeprecationWarning where
+    # int() fails; raising it sends the file to the loop.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        warnings.simplefilter("error", DeprecationWarning)
+        rows = np.loadtxt(fh, delimiter=",", dtype=[("t", "f8"), ("s", "i8")], comments=None, ndmin=1)
+    return _time_sorted(rows["t"], rows["s"])
+
+
+def _parse_lines(source) -> Capture:
+    """Read a capture line by line, raising ParseError at the first bad line."""
     times: list[float] = []
     sizes: list[int] = []
     header_seen = False
@@ -151,9 +187,13 @@ def parse_capture_csv(source) -> Capture:
         raise ParseError(1, 'missing header "timestamp,bytes"')
     if not times:
         raise EmptyCapture("capture contains no records")
-    time_column = np.array(times, dtype=np.float64)
-    order = np.argsort(time_column, kind="stable")
-    return Capture(time_column[order], np.array(sizes, dtype=np.int64)[order])
+    return _time_sorted(np.array(times, dtype=np.float64), np.array(sizes, dtype=np.int64))
+
+
+def _time_sorted(times: np.ndarray, sizes: np.ndarray) -> Capture:
+    """The frames in time order; frames with equal times keep their order."""
+    order = np.argsort(times, kind="stable")
+    return Capture(times[order], sizes[order])
 
 
 def bin_to_series(capture: Capture, bin_width: float, unit: Unit = Unit.BYTES) -> BinnedSeries:

@@ -1,11 +1,14 @@
 import io
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hurstlab import traces
 from hurstlab.estimators import Method
 from hurstlab.fgn import FgnSpec, synthesize_fgn
 from hurstlab.traces import (
@@ -15,6 +18,8 @@ from hurstlab.traces import (
     ParseError,
     Unit,
     WindowScan,
+    _parse_columns,
+    _parse_lines,
     bin_to_series,
     parse_capture_csv,
     sliding_window_scan,
@@ -67,6 +72,151 @@ class TestParseCaptureCsv:
     def test_accepts_path(self, capture_file):
         capture = parse_capture_csv(capture_file)
         assert len(capture) == 20000
+
+
+def _capture_outcome(parse, text):
+    """What a parser makes of a capture text: the column bytes, or the error."""
+    try:
+        capture = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return capture.times.tobytes(), capture.sizes.tobytes()
+
+
+def _line_loop(text):
+    return _parse_lines(io.StringIO(text))
+
+
+# As _frames, over the whole range of valid times and sizes.
+_wide_frames = st.lists(
+    st.tuples(
+        st.one_of(st.floats(0.0, 1e300), st.sampled_from([0.0, 0.5, 828.4])),
+        st.integers(1, 2**63 - 1),
+    ),
+    min_size=1,
+    max_size=100,
+)
+
+# Rows the one-pass reader might read otherwise than the line loop: it must
+# either read them the same way or leave them to the loop.
+_TRAP_ROWS = [
+    "1.5,2 # x", "# comment", '"1.5",2', '1.5,"2"', "1_0,2", "1,1_0", "\u0663,2", "1,\u0663",
+    "1,2.0", "1,0x10", "1,1e3", "1,9223372036854775808", "1,9223372036854775807",
+    "nan,1", "inf,1", "-inf,1", "1e400,1", "-0.1,1", "-0.0,1", "1,0", "1,-5",
+    "   ", "\t", "", "1,2,3", "1", "1,", "1,2\r3,4", " 1.5 , 2 ", "1.5,+2", "1.5,007", "1,2\xa0",
+    "1,2\x0c3",
+]
+_TRAP_FILES = [
+    "\n\ntimestamp,bytes\n1,2\n",
+    "  \ntimestamp,bytes\n1,2\n",
+    "  TIMESTAMP,BYTES  \n1,2\n",
+    "Timestamp, Bytes\n1,2\n",
+    "1,2\n",
+    "",
+    "timestamp,bytes\n",
+    "timestamp,bytes\n\n  \n",
+    "timestamp,bytes\r\n\r\n",
+]
+
+
+class TestOnePassMatchesLineLoop:
+    """parse_capture_csv reads a path or bytes in one C pass and falls back
+    to the line loop (_parse_lines) on any error; both must agree on every
+    file."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_wide_frames, st.sampled_from(["\n", "\r\n"]), st.sets(st.integers(0, 100)))
+    def test_columns_are_bit_identical(self, frames, newline, blank_after):
+        lines = ["timestamp,bytes"]
+        for i, (t, s) in enumerate(frames):
+            lines.append(f"{t!r},{s}")
+            if i in blank_after:
+                lines.append("")
+        text = newline.join(lines) + newline
+        expected = _capture_outcome(_line_loop, text)
+        # The one pass reads these files by itself, without the loop.
+        assert _capture_outcome(lambda t: _parse_columns(io.StringIO(t)), text) == expected
+        assert _capture_outcome(lambda t: parse_capture_csv(t.encode()), text) == expected
+
+    @pytest.mark.parametrize("row", _TRAP_ROWS)
+    @pytest.mark.parametrize("kind", ["bytes", "path"])
+    def test_trap_row_reads_as_in_the_loop(self, row, kind, tmp_path):
+        text = f"timestamp,bytes\n0.5,10\n{row}\n0.25,20\n"
+        self._check_same(text, kind, tmp_path)
+
+    @pytest.mark.parametrize("text", _TRAP_FILES)
+    @pytest.mark.parametrize("kind", ["bytes", "path"])
+    def test_trap_file_reads_as_in_the_loop(self, text, kind, tmp_path):
+        self._check_same(text, kind, tmp_path)
+
+    @staticmethod
+    def _check_same(text, kind, tmp_path):
+        if kind == "bytes":
+            actual = _capture_outcome(lambda t: parse_capture_csv(t.encode()), text)
+            expected = _capture_outcome(_line_loop, text)
+        else:
+            path = tmp_path / "capture.csv"
+            path.write_bytes(text.encode())
+            actual = _capture_outcome(lambda _: parse_capture_csv(path), text)
+            with path.open(encoding="utf-8") as fh:
+                expected = _capture_outcome(lambda _: _parse_lines(fh), text)
+        assert actual == expected
+
+    def test_valid_capture_takes_one_pass(self, capture_file, monkeypatch):
+        def no_loop(_):
+            raise AssertionError("line loop ran on a valid capture")
+
+        monkeypatch.setattr(traces, "_parse_lines", no_loop)
+        assert len(parse_capture_csv(capture_file)) == 20000
+
+    def test_bad_row_near_the_end_of_a_long_capture(self):
+        rows = 250_000
+        lines = [f"{i * 1e-3:.3f},{64 + i % 1400}" for i in range(rows)]
+        lines[-3] = "249.997,12x"
+        text = "timestamp,bytes\n" + "\n".join(lines) + "\n"
+        with pytest.raises(ParseError) as err:
+            parse_capture_csv(text.encode())
+        # The header is line 1, so row i is line i + 2.
+        assert err.value.line == rows - 1
+        assert str(err.value) == f"line {rows - 1}: invalid literal for int() with base 10: '12x'"
+
+    @pytest.mark.parametrize("text", ["timestamp,bytes\n0.12,200\n0.05,100\n", "timestamp,bytes\n0.05,100\n0.12,x\n"])
+    def test_non_seekable_stream(self, text):
+        read, write = os.pipe()
+        os.write(write, text.encode())
+        os.close(write)
+        with open(read, encoding="utf-8") as pipe:
+            assert _capture_outcome(lambda _: parse_capture_csv(pipe), text) == _capture_outcome(_line_loop, text)
+        assert _capture_outcome(lambda t: parse_capture_csv(iter(t.splitlines())), text) == _capture_outcome(
+            _line_loop, text
+        )
+
+    def test_invalid_utf8_fails_as_in_the_loop(self, tmp_path):
+        # A lone 0xa0 byte is no UTF-8, but Latin-1 reads it as a space.
+        path = tmp_path / "capture.csv"
+        path.write_bytes(b"timestamp,bytes\n0.5,10\n1,2\xa0\n")
+        with path.open(encoding="utf-8") as fh:
+            expected = _capture_outcome(_parse_lines, fh)
+        assert _capture_outcome(parse_capture_csv, path) == expected
+        assert expected[0] is UnicodeDecodeError
+
+    @pytest.mark.parametrize("text", ["timestamp,bytes\n0.5,10\n1,2.0\n", "timestamp,bytes\n0.5,10\n0.25,20\n"])
+    def test_deprecation_warning_sends_the_file_to_the_loop(self, text, monkeypatch):
+        # numpy 1.x loadtxt reads the size "2.0" as 2, with only a
+        # DeprecationWarning, where int() fails.
+        def lenient_loadtxt(fh, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return np.array([(0.5, 10), (1.0, 2)], dtype=kwargs["dtype"])
+
+        expected = _capture_outcome(_line_loop, text)
+        monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+        assert _capture_outcome(lambda t: parse_capture_csv(t.encode()), text) == expected
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    @pytest.mark.parametrize("text", ["timestamp,bytes\n", "timestamp,bytes\n\n\n"])
+    def test_header_only_raises_empty_capture_without_warning(self, text):
+        with pytest.raises(EmptyCapture, match="capture contains no records"):
+            parse_capture_csv(text.encode())
 
 
 class TestBinToSeries:
