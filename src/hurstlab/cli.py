@@ -288,8 +288,11 @@ def _load_scan_input(args):
             first = next((line.strip() for line in fh if line.strip()), "")
         if first.lower() == "timestamp,bytes":
             bin_width = CAPTURE_BIN_WIDTH if args.bin_width is None else args.bin_width
-            binned = bin_to_series(parse_capture_csv(args.path), bin_width=bin_width, unit=args.unit)
+            unit = Unit.BYTES if args.unit is None else args.unit
+            binned = bin_to_series(parse_capture_csv(args.path), bin_width=bin_width, unit=unit)
             return binned.values, binned.bin_width, binned.origin
+        if args.unit is not None:
+            raise UsageError("--unit: a plain series has no unit; --unit applies to a capture")
         # A plain series' samples are one second apart unless --bin-width says otherwise.
         return read_series_csv(args.path).values, 1.0 if args.bin_width is None else args.bin_width, 0.0
     except OSError as exc:
@@ -371,7 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--method", action="append", choices=[m.value for m in Method])
     scan.add_argument("--bin-width", dest="bin_width", type=float, default=None,
                       help=f"seconds per sample (default: {CAPTURE_BIN_WIDTH:g} for a capture, 1 for a series)")
-    scan.add_argument("--unit", choices=[u.value for u in Unit], default="bytes")
+    scan.add_argument("--unit", choices=[u.value for u in Unit], default=None,
+                      help="what a capture's bins sum (default: bytes); not for a plain series")
     scan.add_argument("--seed", type=int, default=None)
     scan.add_argument("--out", required=True)
     scan.set_defaults(handler=cmd_scan)

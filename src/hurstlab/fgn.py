@@ -2,11 +2,12 @@
 
 The generator is the circulant-embedding method of Davies & Harte
 (Biometrika 74, 1987), in the form given by Dieker, "Simulation of
-fractional Brownian motion" (2004), ch. 2.1.3: extend the covariance
-sequence to a ring of size 2N, take its DFT (all eigenvalues are
-nonnegative for fGn), weight a Hermitian complex-Gaussian vector by the
-eigenvalue square roots, and invert.  The first N outputs are an exact
-zero-mean Gaussian sample of the target covariance.
+fractional Brownian motion" (2004), ch. 2.1.3: the DFT of the 2N covariance
+ring gives its eigenvalues (all nonnegative for fGn); weight a Hermitian
+complex-Gaussian vector by their square roots and invert.  The ring is real
+and even and the vector Hermitian, so both transforms take only the N+1
+half (hfft, irfft).  The first N outputs are an exact zero-mean Gaussian
+sample of the target covariance.
 
 Randomness comes from numpy's PCG64 generator seeded through SeedSequence,
 with Gaussians drawn by the ziggurat method.  The draw order is fixed
@@ -32,7 +33,7 @@ EIG_TOLERANCE = 1e-8
 
 
 class EmbeddingNotPSD(ValueError):
-    """The circulant covariance embedding has a materially negative eigenvalue."""
+    """The circulant covariance embedding has a materially negative or a non-finite eigenvalue."""
 
 
 def child_seed(base_seed: int, *keys: int) -> int:
@@ -68,8 +69,8 @@ class FgnSpec:
     def __post_init__(self):
         if not 0.0 < self.hurst < 1.0:
             raise ValueError("hurst must be in (0,1)")
-        if not self.variance > 0.0:
-            raise ValueError("variance must be positive")
+        if not 0.0 < self.variance < np.inf:
+            raise ValueError("variance must be finite and positive")
         if self.length < 2:
             raise ValueError("length must be at least 2")
         check_seed(self.seed)
@@ -84,8 +85,8 @@ def target_autocovariance(hurst: float, variance: float, lag):
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError("hurst must be in (0,1)")
-    if not variance > 0.0:
-        raise ValueError("variance must be positive")
+    if not 0.0 < variance < np.inf:
+        raise ValueError("variance must be finite and positive")
     k = np.asarray(lag, dtype=float)
     if np.any(k < 0) or np.any(k != np.floor(k)):
         raise ValueError("lag must be a non-negative integer")
@@ -100,20 +101,21 @@ def target_autocovariance(hurst: float, variance: float, lag):
 def build_embedding(spec: FgnSpec) -> np.ndarray:
     """Eigenvalues of the 2N circulant ring for spec, clamped at zero.
 
-    The ring is rho(0..N), rho(N-1..1); its eigenvalues are its DFT.
+    The ring rho(0..N), rho(N-1..1) is real and even, so its DFT is the
+    Hermitian FFT of rho(0..N).
     Raises EmbeddingNotPSD if any eigenvalue is below -EIG_TOLERANCE * variance
-    (not expected for fGn with 0 < H < 1).
+    (not expected for fGn with 0 < H < 1) or is not finite.
     """
     n = spec.length
     rho = target_autocovariance(spec.hurst, spec.variance, np.arange(n + 1))
-    ring = np.concatenate([rho, rho[n - 1 : 0 : -1]])
-    eigenvalues = np.fft.fft(ring).real
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        eigenvalues = np.fft.hfft(rho, 2 * n)
     floor = -EIG_TOLERANCE * spec.variance
     worst = eigenvalues.min()
-    if worst < floor:
+    if worst < floor or not np.isfinite(eigenvalues).all():
         raise EmbeddingNotPSD(
-            f"embedding eigenvalue {worst:.3e} below tolerance {floor:.3e} "
-            f"for H={spec.hurst}, N={n}"
+            f"embedding eigenvalues must be finite and at least {floor:.3e}; the least is "
+            f"{worst:.3e} for H={spec.hurst}, N={n}"
         )
     return np.maximum(eigenvalues, 0.0)
 
@@ -122,19 +124,18 @@ def synthesize_fgn(spec: FgnSpec) -> TimeSeries:
     """Generate an exact, zero-mean fGn series of spec.length samples.
 
     Deterministic in spec.seed.  Draw order: one block of 2N standard
-    normals g; g[0] and g[1] fill the two real spectral slots, g[2:N+1]
-    and g[N+1:] the real/imaginary parts of the conjugate-paired slots.
+    normals g; g[0] and g[1] fill the real spectral slots 0 and N, g[2:N+1]
+    and g[N+1:] the real/imaginary parts of slots 1..N-1, whose conjugates
+    N+1..2N-1 the real inverse FFT implies.
     """
     eigenvalues = build_embedding(spec)
     n = spec.length
     m = 2 * n
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(spec.seed))))
     g = rng.standard_normal(m)
-    z = np.empty(m, dtype=complex)
+    z = np.empty(n + 1, dtype=complex)
     z[0] = g[0]
     z[n] = g[1]
     z[1:n] = (g[2 : n + 1] + 1j * g[n + 1 :]) / np.sqrt(2.0)
-    z[n + 1 :] = np.conj(z[1:n][::-1])
-    x = np.sqrt(m) * np.fft.ifft(np.sqrt(eigenvalues) * z).real[:n]
+    x = np.sqrt(m) * np.fft.irfft(np.sqrt(eigenvalues[: n + 1]) * z, m)[:n]
     return TimeSeries(x)
-

@@ -7,6 +7,7 @@ property that a test checks.
 import numpy as np
 
 from hurstlab.estimators.wavelet import DB3_HIGHPASS, DB3_LOWPASS
+from hurstlab.fgn import EIG_TOLERANCE, EmbeddingNotPSD, FgnSpec, target_autocovariance
 from hurstlab.series import TimeSeries, as_values
 
 
@@ -44,3 +45,41 @@ def aggregate_blocks(series, m: int) -> TimeSeries:
 def window_count(total: int, window: int, stride: int) -> int:
     """Closed-form number of sliding windows: floor((M - window) / stride) + 1."""
     return (total - window) // stride + 1
+
+
+def complex_ring_embedding(spec: FgnSpec) -> np.ndarray:
+    """Davies-Harte eigenvalues as the complex DFT of the full 2N ring."""
+    n = spec.length
+    rho = target_autocovariance(spec.hurst, spec.variance, np.arange(n + 1))
+    ring = np.concatenate([rho, rho[n - 1 : 0 : -1]])
+    eigenvalues = np.fft.fft(ring).real
+    floor = -EIG_TOLERANCE * spec.variance
+    worst = eigenvalues.min()
+    if worst < floor:
+        raise EmbeddingNotPSD(
+            f"embedding eigenvalue {worst:.3e} below tolerance {floor:.3e} "
+            f"for H={spec.hurst}, N={n}"
+        )
+    return np.maximum(eigenvalues, 0.0)
+
+
+def complex_ring_fgn(spec: FgnSpec) -> TimeSeries:
+    """Davies-Harte synthesis with the 2N Hermitian vector built in full,
+    conjugate half mirrored by hand, and inverted by a complex ifft.
+
+    Same draw order as synthesize_fgn: g[0] and g[1] fill the two real
+    spectral slots, g[2:N+1] and g[N+1:] the real/imaginary parts of the
+    conjugate-paired slots.
+    """
+    eigenvalues = complex_ring_embedding(spec)
+    n = spec.length
+    m = 2 * n
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(spec.seed))))
+    g = rng.standard_normal(m)
+    z = np.empty(m, dtype=complex)
+    z[0] = g[0]
+    z[n] = g[1]
+    z[1:n] = (g[2 : n + 1] + 1j * g[n + 1 :]) / np.sqrt(2.0)
+    z[n + 1 :] = np.conj(z[1:n][::-1])
+    x = np.sqrt(m) * np.fft.ifft(np.sqrt(eigenvalues) * z).real[:n]
+    return TimeSeries(x)

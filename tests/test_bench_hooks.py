@@ -18,7 +18,21 @@ def _layer_functions():
     return tracer.LAYER_FUNCTIONS
 
 
-@pytest.mark.parametrize("module_name, function", [entry[:2] for entry in _layer_functions()])
+# Names the benchmark imports itself: bench/checks.py::program_series and
+# bench/child.py's warm-up fit.
+IMPORTED_NAMES = [
+    ("hurstlab.fgn", "FgnSpec"),
+    ("hurstlab.fgn", "child_seed"),
+    ("hurstlab.fgn", "hurst_key"),
+    ("hurstlab.fgn", "synthesize_fgn"),
+    ("hurstlab.estimators", "estimate"),
+]
+
+
+@pytest.mark.parametrize(
+    "module_name, function",
+    list(dict.fromkeys([entry[:2] for entry in _layer_functions()] + IMPORTED_NAMES)),
+)
 def test_traced_function_resolves(module_name, function):
     assert callable(getattr(importlib.import_module(module_name), function))
 

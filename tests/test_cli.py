@@ -7,6 +7,7 @@ from hurstlab import cli, evalharness
 from hurstlab.estimators import NoConvergence
 from hurstlab.fgn import EmbeddingNotPSD
 from hurstlab.series import write_series_csv
+from hurstlab.traces import Unit, bin_to_series, parse_capture_csv
 
 
 def run_cli(*argv):
@@ -75,6 +76,17 @@ class TestSynth:
         assert manifest["parameters"]["hurst"] == "0.7"
         assert manifest["toolkit_version"]
         assert manifest["started"] <= manifest["finished"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_embedding_exits_3_and_is_recorded(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        rc = run_cli("synth", "--hurst", "0.8", "--length", "65536", "--variance", "1e308",
+                     "--out", str(out))
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: EmbeddingNotPSD: ")
+        manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+        assert manifest["status"].startswith("error:EmbeddingNotPSD: ")
+        assert not out.exists()
 
 
 class TestEstimate:
@@ -354,6 +366,22 @@ class TestScan:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_capture_bins_bytes_without_unit(self, capture_file, tmp_path, monkeypatch):
+        binned = []
+
+        def recording_bin_to_series(*args, **kwargs):
+            binned.append(bin_to_series(*args, **kwargs))
+            return binned[-1]
+
+        monkeypatch.setattr(cli, "bin_to_series", recording_bin_to_series)
+        out = tmp_path / "scan.csv"
+        assert run_cli("scan", str(capture_file), "--window", "256", "--method", "rs",
+                       "--out", str(out)) == 0
+        assert binned[0].unit is Unit.BYTES
+        assert binned[0].values.sum() == parse_capture_csv(capture_file).sizes.sum()
+        manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
+        assert "unit" not in manifest["parameters"]
+
     def test_default_stride_is_half_window(self, fgn08_file, tmp_path):
         out = tmp_path / "scan.csv"
         rc = run_cli("scan", str(fgn08_file), "--window", "512", "--out", str(out))
@@ -396,6 +424,7 @@ BASE_ARGV = {
         ("synth", "--hurst nan", "--hurst"),
         ("synth", "--length 1", "--length"),
         ("synth", "--variance 0", "--variance"),
+        ("synth", "--variance inf", "--variance"),
         ("synth", "--seed -1", "--seed"),
         ("bench", "--hursts 0.8,1.5", "--hursts"),
         ("bench", "--hursts abc", "--hursts"),
@@ -423,6 +452,7 @@ BASE_ARGV = {
         ("scan", "--stride 0", "--stride"),
         ("scan", "--bin-width 0", "--bin-width"),
         ("scan", "--bin-width nan", "--bin-width"),
+        ("scan", "--unit frames", "--unit"),
         ("scan", "--method rs --method whittle", "--method"),
     ],
 )

@@ -11,7 +11,7 @@ from hurstlab.fgn import (
     synthesize_fgn,
     target_autocovariance,
 )
-from oracles import aggregate_blocks
+from oracles import aggregate_blocks, complex_ring_fgn
 
 
 def naive_dft_real(x):
@@ -67,6 +67,8 @@ class TestTargetAutocovariance:
         with pytest.raises(ValueError):
             target_autocovariance(0.7, 0.0, 1)
         with pytest.raises(ValueError):
+            target_autocovariance(0.5, np.inf, 1)
+        with pytest.raises(ValueError):
             target_autocovariance(0.7, 1.0, -1)
         with pytest.raises(ValueError):
             target_autocovariance(0.7, 1.0, 1.5)
@@ -89,8 +91,9 @@ class TestBuildEmbedding:
         eigenvalues = build_embedding(FgnSpec(hurst=0.5, length=8, variance=2.0))
         assert np.allclose(eigenvalues, 2.0, atol=1e-12)
 
-    def test_eigenvalues_match_naive_dft_h08(self):
-        spec = FgnSpec(hurst=0.8, length=2**6)
+    @pytest.mark.parametrize("length", [2**6, 3, 65])
+    def test_eigenvalues_match_naive_dft_h08(self, length):
+        spec = FgnSpec(hurst=0.8, length=length)
         eigenvalues = build_embedding(spec)
         rho = target_autocovariance(0.8, 1.0, np.arange(spec.length + 1))
         circ = np.concatenate([rho, rho[-2:0:-1]])
@@ -98,8 +101,9 @@ class TestBuildEmbedding:
         assert reference.min() >= -1e-10
         np.testing.assert_allclose(eigenvalues, np.maximum(reference, 0.0), atol=1e-9)
 
-    def test_eigenvalues_match_naive_dft_h09(self):
-        spec = FgnSpec(hurst=0.9, length=2**10)
+    @pytest.mark.parametrize("length", [2**10, 3, 65])
+    def test_eigenvalues_match_naive_dft_h09(self, length):
+        spec = FgnSpec(hurst=0.9, length=length)
         eigenvalues = build_embedding(spec)
         rho = target_autocovariance(0.9, 1.0, np.arange(spec.length + 1))
         circ = np.concatenate([rho, rho[-2:0:-1]])
@@ -119,6 +123,18 @@ class TestSynthesizeFgn:
         a = synthesize_fgn(spec).values
         b = synthesize_fgn(spec).values
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("variance", [1.0, 4.0])
+    @pytest.mark.parametrize("length", [2, 3, 64, 65, 1000, 4097, 2**16])
+    @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5, 0.8, 0.95, 0.99])
+    def test_matches_complex_ring_reference(self, hurst, length, variance):
+        # Same draws, same embedding; only the transforms differ, so the
+        # series agree to rounding.
+        spec = FgnSpec(hurst=hurst, length=length, variance=variance, seed=child_seed(31, length))
+        got = synthesize_fgn(spec).values
+        reference = complex_ring_fgn(spec).values
+        assert got.shape == reference.shape == (length,)
+        assert np.max(np.abs(got - reference)) <= 1e-12 * np.sqrt(variance)
 
     def test_different_seeds_differ(self):
         a = synthesize_fgn(FgnSpec(hurst=0.8, length=256, seed=1)).values
