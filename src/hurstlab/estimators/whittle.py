@@ -23,13 +23,29 @@ exactly at H0.
 Repeated objective evaluations dominate benchmark runtime, so the powers
 x^0 .. x^15 of the frequency grid are built once per objective; an
 evaluation is then 16 series coefficients and one matrix-vector product.
+
+The coefficients need zeta(t) for t = s + 2i in (1, 33), summed by
+Euler-Maclaurin (Abramowitz & Stegun 23.2):
+
+    zeta(t) = sum_{k<n} k^-t + n^(1-t)/(t-1) + n^-t/2
+              + sum_{j=1}^{7} B_2j/(2j)! (t)_(2j-1) n^(-t-2j+1),    n = 9,
+
+which matches scipy.special.zeta to 2e-15 relative over the range.  As
+(s)_2i (s+2i)_(2j-1) = (s)_(2i+2j-1), every term is a constant times
+(2 pi k)^-s (s)_m for k = 1..9 and m = 0..43, so the 16 coefficients are
+one 9-value exp, one cumprod of rising factors and a constant table.
+
+H is found by bounded Brent minimization (Brent 1973, ch. 5), ported
+step for step from scipy.optimize.minimize_scalar(method="bounded"):
+same points, same x, fun and evaluation count, without importing scipy.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import factorial, poch, zeta
 
 from ..series import as_values
 from .base import DegenerateSeries, HurstEstimate, Method, NoConvergence
@@ -40,8 +56,50 @@ TOLERANCE = 1e-4
 ALIAS_TERMS = 16
 
 _H_BOUNDS = (0.01, 0.99)
-_EVEN = 2.0 * np.arange(ALIAS_TERMS)
-_SERIES_WEIGHTS = 2.0 / factorial(_EVEN)
+# Objective evaluations after which the minimization gives up.
+_MAX_EVALUATIONS = 500
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+
+# Euler-Maclaurin for zeta: head k = 1 .. _CUT - 1, tail at n = _CUT, and
+# the Bernoulli numbers B_2 .. B_14 of the corrections.
+_CUT = 9
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+_RISING_ORDERS = 2 * ALIAS_TERMS + 2 * len(_BERNOULLI) - 2  # (s)_0 .. (s)_43
+_LOG_2PI_K = np.log(2.0 * np.pi * np.arange(1, _CUT + 1))
+# s + _SHIFTS, with the first entry set to 1, has cumprod (s)_0 .. (s)_43.
+_SHIFTS = np.arange(-1.0, _RISING_ORDERS - 1)
+
+
+def _zeta_table() -> np.ndarray:
+    """T[i, k - 1, m] with coefficient_i(s) = sum_k,m T (2 pi k)^-s (s)_m,
+    except the i = 0 tail n^(1-s)/(s-1), which has no (s)_m; rows (i, k)
+    are flattened for one matrix-vector product."""
+    table = np.zeros((ALIAS_TERMS, _CUT, _RISING_ORDERS))
+    n = float(_CUT)
+    for i in range(ALIAS_TERMS):
+        weight = 2.0 / math.factorial(2 * i)
+        for k in range(1, _CUT):
+            table[i, k - 1, 2 * i] = weight * float(k) ** (-2 * i)
+        if i:
+            table[i, -1, 2 * i - 1] = weight * n ** (1 - 2 * i)
+        table[i, -1, 2 * i] = weight * n ** (-2 * i) / 2.0
+        for j, bernoulli in enumerate(_BERNOULLI, start=1):
+            table[i, -1, 2 * i + 2 * j - 1] = weight * bernoulli / math.factorial(2 * j) * n ** (1 - 2 * i - 2 * j)
+    return table.reshape(-1, _RISING_ORDERS)
+
+
+_ZETA_TABLE = _zeta_table()
+
+
+def _series_coefficients(s: float) -> np.ndarray:
+    """2 (2 pi)^-s (s)_2i / (2i)! * zeta(s + 2i) for i = 0 .. ALIAS_TERMS - 1."""
+    factors = s + _SHIFTS
+    factors[0] = 1.0
+    scaled = np.exp(_LOG_2PI_K * -s)
+    coeffs = _ZETA_TABLE.dot(factors.cumprod()).reshape(ALIAS_TERMS, _CUT).dot(scaled)
+    coeffs[0] += 2.0 * _CUT * scaled[-1] / (s - 1.0)
+    return coeffs
 
 
 def _series_basis(lam: np.ndarray) -> np.ndarray:
@@ -57,7 +115,7 @@ def _series_basis(lam: np.ndarray) -> np.ndarray:
 def _alias_sum(hurst: float, log_lam: np.ndarray, basis: np.ndarray, out: np.ndarray) -> np.ndarray:
     """S(lambda, H) = sum_j |lambda + 2*pi*j|^{-2H-1}, written into out."""
     s = 2.0 * hurst + 1.0
-    coeffs = (2.0 * np.pi) ** -s * poch(s, _EVEN) * zeta(s + _EVEN) * _SERIES_WEIGHTS
+    coeffs = _series_coefficients(s)
     np.multiply(log_lam, -s, out=out)
     np.exp(out, out=out)
     out += np.dot(coeffs, basis)
@@ -119,17 +177,84 @@ def whittle_objective(freqs: np.ndarray, powers: np.ndarray):
     return objective
 
 
-def minimize_whittle(objective):
-    """Bracketed scalar minimization of the Whittle objective over (0.01, 0.99)."""
-    result = minimize_scalar(
-        objective,
-        bounds=_H_BOUNDS,
-        method="bounded",
-        options={"xatol": TOLERANCE},
-    )
-    if not result.success or not np.isfinite(result.fun):
-        raise NoConvergence(f"whittle minimization failed: {result.message}")
-    return result
+@dataclass(frozen=True)
+class Minimum:
+    """Where the minimization stopped: H, the objective there, and the evaluations used."""
+
+    x: float
+    fun: float
+    nfev: int
+
+
+def minimize_whittle(objective) -> Minimum:
+    """Bounded Brent minimization of the Whittle objective over (0.01, 0.99).
+
+    Step for step scipy's bounded method (xatol = TOLERANCE, at most 500
+    evaluations): xf is the best point, nfc the second best, fulc the
+    third; each step is the parabola through them when it falls well
+    inside [a, b], else a golden section.  Raises NoConvergence where scipy
+    reports failure (500 evaluations, or NaN at the last point or at the
+    minimum) or the minimum is not finite.
+    """
+    a, b = _H_BOUNDS
+    xf = nfc = fulc = a + _GOLDEN * (b - a)
+    fx = fnfc = ffulc = float(objective(xf))
+    fu = math.inf
+    nfev = 1
+    rat = e = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + TOLERANCE / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0.0 else xf - step
+        fu = float(objective(x))
+        nfev += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + TOLERANCE / 3.0
+        tol2 = 2.0 * tol1
+        if nfev >= _MAX_EVALUATIONS:
+            raise NoConvergence(f"whittle minimization failed: {nfev} evaluations without converging")
+    if math.isnan(fu) or not math.isfinite(fx):
+        raise NoConvergence(f"whittle minimization failed: objective not finite near H = {xf}")
+    return Minimum(x=xf, fun=fx, nfev=nfev)
 
 
 def _fit(series):

@@ -138,8 +138,11 @@ def _parse_columns(fh) -> Capture:
     """Read a capture in one np.loadtxt pass; raise ValueError or
     DeprecationWarning on any row the line loop might read differently, or
     reject."""
-    if fh.readline().strip().lower() != "timestamp,bytes":
-        raise ValueError("header is not on the first line")
+    header = fh.readline()
+    while header and not header.strip():  # blank lines before the header, as the loop skips them
+        header = fh.readline()
+    if header.strip().lower() != "timestamp,bytes":
+        raise ValueError("header is not the first non-blank line")
     # comments=None: the loop rejects "1.5,2 # x".  Rows loadtxt reads but
     # the loop rejects (bad times or sizes, no rows at all) fail in Capture.
     # numpy 1.x reads a size such as "2.0" with a DeprecationWarning where

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -492,3 +496,25 @@ def test_lengths_range_doubles_from_its_start():
     assert cli._parse_int_list("100..1000", "--lengths") == (100, 200, 400, 800)
     assert cli._parse_int_list("64..256", "--lengths") == (64, 128, 256)
     assert cli._parse_int_list("64..63", "--lengths") == ()
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # A fresh interpreter imports the CLI, fits Whittle (so a lazy import
+    # would show) and runs a command; scipy must never have been imported.
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from hurstlab import cli\n"
+        "from hurstlab.estimators import estimate\n"
+        "estimate(np.random.default_rng(0).standard_normal(256), 'whittle')\n"
+        "code = cli.main(['synth', '--hurst', '0.8', '--length', '128', '--seed', '1', '--out', sys.argv[1]])\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(code, loaded, file=sys.stderr)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "series.csv")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == "0 []"

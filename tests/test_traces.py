@@ -169,6 +169,18 @@ class TestOnePassMatchesLineLoop:
         monkeypatch.setattr(traces, "_parse_lines", no_loop)
         assert len(parse_capture_csv(capture_file)) == 20000
 
+    @pytest.mark.parametrize("lead", ["\n", "\n\n", "  \n", "\t\r\n \n"])
+    def test_blank_lines_before_the_header_take_one_pass(self, lead, capture_file, monkeypatch):
+        text = lead + capture_file.read_text(encoding="utf-8")
+        expected = _capture_outcome(_line_loop, text)
+
+        def no_loop(_):
+            raise AssertionError("line loop ran on a valid capture")
+
+        monkeypatch.setattr(traces, "_parse_lines", no_loop)
+        assert _capture_outcome(lambda t: parse_capture_csv(t.encode()), text) == expected
+        assert len(expected[0]) == 8 * 20000
+
     def test_bad_row_near_the_end_of_a_long_capture(self):
         rows = 250_000
         lines = [f"{i * 1e-3:.3f},{64 + i % 1400}" for i in range(rows)]

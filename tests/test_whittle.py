@@ -1,17 +1,22 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.special import zeta
+from scipy.optimize import minimize_scalar
+from scipy.special import factorial, poch, zeta
 
 from hurstlab.estimators import (
     DegenerateSeries,
     Method,
+    NoConvergence,
     estimate_whittle,
     fgn_spectral_density,
     minimize_whittle,
     periodogram_of,
+    whittle,
     whittle_objective,
 )
-from hurstlab.estimators.whittle import whittle_point_value
+from hurstlab.estimators.whittle import ALIAS_TERMS, TOLERANCE, whittle_point_value
 from hurstlab.fgn import FgnSpec, child_seed, synthesize_fgn
 
 
@@ -81,6 +86,75 @@ class TestSpectralDensity:
             ratio = (ihat / direct_norm).mean()
             expected = float(np.log(direct_norm).sum() + m * (np.log(ratio) + 1.0))
             assert objective(hurst) == pytest.approx(expected, rel=1e-6)
+
+
+def test_series_coefficients_match_scipy():
+    # 2 (2 pi)^-s (s)_2i / (2i)! * zeta(s + 2i), the numpy Euler-Maclaurin
+    # build against scipy.special over the whole H range.
+    even = 2.0 * np.arange(ALIAS_TERMS)
+    for hurst in np.linspace(0.01, 0.99, 981):
+        s = 2.0 * hurst + 1.0
+        expected = (2.0 * np.pi) ** -s * poch(s, even) * zeta(s + even) * 2.0 / factorial(even)
+        np.testing.assert_allclose(whittle._series_coefficients(s), expected, rtol=1e-14, atol=0)
+
+
+def scipy_bounded(objective, maxiter=500):
+    return minimize_scalar(
+        objective, bounds=(0.01, 0.99), method="bounded", options={"xatol": TOLERANCE, "maxiter": maxiter}
+    )
+
+
+class TestBrentMatchesScipy:
+    """minimize_whittle is scipy's bounded Brent step for step: the same x,
+    fun and evaluation count, compared with ==."""
+
+    @staticmethod
+    def assert_same(objective):
+        ours, theirs = minimize_whittle(objective), scipy_bounded(objective)
+        assert (ours.x, ours.fun, ours.nfev) == (theirs.x, theirs.fun, theirs.nfev)
+
+    @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.8, 0.95, 0.99])
+    @pytest.mark.parametrize("length", [64, 65, 4097, 2**16])
+    def test_whittle_objectives(self, hurst, length):
+        x = synthesize_fgn(FgnSpec(hurst=hurst, length=length, seed=child_seed(41, length))).values
+        self.assert_same(whittle_objective(*periodogram_of(x)))
+
+    def test_white_noise(self):
+        x = np.random.default_rng(5).standard_normal(1000)
+        self.assert_same(whittle_objective(*periodogram_of(x)))
+
+    @pytest.mark.parametrize(
+        "objective",
+        [
+            lambda h: h,  # runs to the lower bound
+            lambda h: -h,  # runs to the upper bound
+            lambda h: (h - 0.3) * (h - 0.3),
+            lambda h: abs(h - 0.5),
+            lambda h: math.cos(7.0 * h) + h,
+        ],
+    )
+    def test_plain_functions(self, objective):
+        self.assert_same(objective)
+
+    def test_plain_functions_reach_the_bounds(self):
+        assert minimize_whittle(lambda h: h).x < 0.01 + TOLERANCE
+        assert minimize_whittle(lambda h: -h).x > 0.99 - TOLERANCE
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_objective_fails(self, value):
+        theirs = scipy_bounded(lambda h: value)
+        assert not (theirs.success and np.isfinite(theirs.fun))
+        with pytest.raises(NoConvergence):
+            minimize_whittle(lambda h: value)
+
+    def test_evaluation_limit_fails(self, monkeypatch):
+        def objective(h):
+            return (h - 0.3) * (h - 0.3)
+
+        assert not scipy_bounded(objective, maxiter=4).success
+        monkeypatch.setattr(whittle, "_MAX_EVALUATIONS", 4)
+        with pytest.raises(NoConvergence):
+            minimize_whittle(objective)
 
 
 class TestWhittleObjective:
