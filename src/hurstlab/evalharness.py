@@ -4,11 +4,18 @@ minimum-usable-length search, and mean-convergence curves.
 Replicate seeds are derived from (base_seed, H, N, replicate) through
 child_seed, so every estimator in a grid cell sees the same series set
 (paired comparison) and results are identical for any worker count.
+
+A grid cell runs as blocks of REPLICATE_BLOCK replicates, one pool task
+each: a block builds its embedding once and synthesizes its series as one
+stack.  Blocks go to the pool largest first (by N times block size), so
+the longest series do not start last and run alone; their rows are put
+back in grid order, so outputs do not depend on the schedule either.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -20,11 +27,15 @@ import numpy as np
 from .estimators import FIT_FAILURES, Method, estimate, too_many_failures
 from .estimators.rs import rs_prefix_estimates
 from .estimators.whittle import whittle_point_value
-from .fgn import EmbeddingNotPSD, FgnSpec, check_seed, child_seed, hurst_key, synthesize_fgn
+from .fgn import EmbeddingNotPSD, FgnSpec, check_seed, child_seed, hurst_key, synthesize_block, synthesize_fgn
+from .series import TimeSeries
 
 DEFAULT_HURSTS = (0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_LENGTHS = tuple(2**i for i in range(6, 17))
 ALL_METHODS = (Method.RS, Method.PERIODOGRAM, Method.WHITTLE, Method.ABRY_VEITCH)
+# Replicates per pool task.  Fixed, never derived from the worker count:
+# at N = 2^16 a block's normals and spectrum take 8 MB each.
+REPLICATE_BLOCK = 8
 
 
 class Precision(str, Enum):
@@ -139,13 +150,22 @@ def classify_precision(bias: float, std_dev: float) -> Precision:
     return Precision.POOR
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on; all of them where the platform has no affinity mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _parallel_map(task, items, threads):
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    if threads == 1 or len(items) <= 1:
+    # The pool forks all its workers at the first submit: start no idle ones,
+    # and no more than the cores this process may run on.
+    workers = min(threads, len(items), _usable_cores())
+    if workers <= 1:
         return [task(item) for item in items]
-    # The pool forks all its workers at the first submit: start no idle ones.
-    with ProcessPoolExecutor(max_workers=min(threads, len(items))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task, items))
 
 
@@ -156,22 +176,25 @@ def _point_value(series, method: Method) -> float:
     return estimate(series, method).value
 
 
-def _estimate_cell(args):
-    hurst, length, replicates, methods, base_seed = args
+def _estimate_block(args):
+    """Rows (method, replicate, estimate, status) for replicates start..stop-1 of one cell."""
+    hurst, length, start, stop, methods, base_seed = args
+    replicates = range(start, stop)
+    specs = [FgnSpec(hurst=hurst, length=length, seed=child_seed(base_seed, hurst_key(hurst), length, r))
+             for r in replicates]
+    try:
+        block = synthesize_block(specs)
+    except EmbeddingNotPSD as exc:
+        return [(m, r, None, f"error:{type(exc).__name__}") for r in replicates for m in methods]
     rows = []
-    for replicate in range(replicates):
-        seed = child_seed(base_seed, hurst_key(hurst), length, replicate)
-        try:
-            series = synthesize_fgn(FgnSpec(hurst=hurst, length=length, seed=seed))
-        except EmbeddingNotPSD as exc:
-            rows.extend((m, replicate, None, f"error:{type(exc).__name__}") for m in methods)
-            continue
+    for replicate, values in zip(replicates, block):
+        series = TimeSeries(values)
         for method in methods:
             try:
                 rows.append((method, replicate, _point_value(series, method), "ok"))
             except FIT_FAILURES as exc:
                 rows.append((method, replicate, None, f"error:{type(exc).__name__}"))
-    return hurst, length, rows
+    return rows
 
 
 def run_grid(grid: ExperimentGrid, threads: int = 1) -> GridResult:
@@ -180,14 +203,23 @@ def run_grid(grid: ExperimentGrid, threads: int = 1) -> GridResult:
     Individual replicate failures are recorded, not fatal; a
     (method, H, N) cell whose failure share exceeds 10% is flagged.
     """
-    cells = [(h, n) for h in grid.hursts for n in grid.lengths]
-    tasks = [(h, n, grid.replicates, grid.methods, grid.base_seed) for h, n in cells]
-    results = _parallel_map(_estimate_cell, tasks, threads)
+    blocks = [
+        (h, n, start, min(start + REPLICATE_BLOCK, grid.replicates), grid.methods, grid.base_seed)
+        for h in grid.hursts
+        for n in grid.lengths
+        for start in range(0, grid.replicates, REPLICATE_BLOCK)
+    ]
+    # Largest blocks (N x replicates) first; their rows go back in grid order.
+    schedule = sorted(blocks, key=lambda b: -b[1] * (b[3] - b[2]))
+    done = dict(zip(schedule, _parallel_map(_estimate_block, schedule, threads)))
+    cells: dict[tuple[float, int], list] = {}
+    for block in blocks:
+        cells.setdefault(block[:2], []).extend(done[block])
 
     records: list[ReplicateRecord] = []
     summaries: list[StatsSummary] = []
     flagged: list[tuple[Method, float, int]] = []
-    for hurst, length, rows in results:
+    for (hurst, length), rows in cells.items():
         for method in grid.methods:
             method_rows = [r for r in rows if r[0] is method]
             records.extend(

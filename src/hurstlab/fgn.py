@@ -11,15 +11,18 @@ sample of the target covariance.
 
 Randomness comes from numpy's PCG64 generator seeded through SeedSequence,
 with Gaussians drawn by the ziggurat method.  The draw order is fixed
-(see synthesize_fgn), so a given (spec, seed) reproduces the same series
-on every run of this build.  Independent replicate streams are derived
-with child_seed, which hashes (base_seed, *keys) through SeedSequence so
-results do not depend on scheduling order.
+(see synthesize_block): each series has its own generator, seeded by its
+spec, so a row of a block holds the same normals, and the same values, as
+synthesize_fgn gives that spec alone, and a given (spec, seed) reproduces
+the same series on every run of this build.  Independent replicate
+streams are derived with child_seed, which hashes (base_seed, *keys)
+through SeedSequence so results do not depend on scheduling order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -120,22 +123,41 @@ def build_embedding(spec: FgnSpec) -> np.ndarray:
     return np.maximum(eigenvalues, 0.0)
 
 
+def synthesize_block(specs: Sequence[FgnSpec]) -> np.ndarray:
+    """Exact, zero-mean fGn series for specs that share hurst, length and variance.
+
+    Returns a (len(specs), length) array; row i is the series of specs[i].
+    The eigenvalues are built once for the block.  Draw order, per row: one
+    generator seeded by that spec's seed fills 2N standard normals g; g[0]
+    and g[1] fill the real spectral slots 0 and N, g[2:N+1] and g[N+1:] the
+    real/imaginary parts of slots 1..N-1, whose conjugates N+1..2N-1 the
+    real inverse FFT implies.  One inverse FFT runs along the rows.  A row
+    depends only on its own spec, not on the block it is drawn in.
+    """
+    if not specs:
+        raise ValueError("specs must be non-empty")
+    first = specs[0]
+    shape = (first.hurst, first.length, first.variance)
+    if any((spec.hurst, spec.length, spec.variance) != shape for spec in specs):
+        raise ValueError("specs in a block must share hurst, length and variance")
+    eigenvalues = build_embedding(first)
+    n = first.length
+    m = 2 * n
+    g = np.empty((len(specs), m))
+    for row, spec in zip(g, specs):
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(spec.seed)))).standard_normal(out=row)
+    z = np.empty((len(specs), n + 1), dtype=complex)
+    z[:, 0] = g[:, 0]
+    z[:, n] = g[:, 1]
+    z[:, 1:n] = (g[:, 2 : n + 1] + 1j * g[:, n + 1 :]) / np.sqrt(2.0)
+    del g
+    z *= np.sqrt(eigenvalues[: n + 1])
+    return np.sqrt(m) * np.fft.irfft(z, m)[:, :n]
+
+
 def synthesize_fgn(spec: FgnSpec) -> TimeSeries:
     """Generate an exact, zero-mean fGn series of spec.length samples.
 
-    Deterministic in spec.seed.  Draw order: one block of 2N standard
-    normals g; g[0] and g[1] fill the real spectral slots 0 and N, g[2:N+1]
-    and g[N+1:] the real/imaginary parts of slots 1..N-1, whose conjugates
-    N+1..2N-1 the real inverse FFT implies.
+    Deterministic in spec.seed: the one-row case of synthesize_block.
     """
-    eigenvalues = build_embedding(spec)
-    n = spec.length
-    m = 2 * n
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(spec.seed))))
-    g = rng.standard_normal(m)
-    z = np.empty(n + 1, dtype=complex)
-    z[0] = g[0]
-    z[n] = g[1]
-    z[1:n] = (g[2 : n + 1] + 1j * g[n + 1 :]) / np.sqrt(2.0)
-    x = np.sqrt(m) * np.fft.irfft(np.sqrt(eigenvalues[: n + 1]) * z, m)[:n]
-    return TimeSeries(x)
+    return TimeSeries(synthesize_block([spec])[0])

@@ -1,6 +1,7 @@
 import ctypes
 import os
 import re
+from types import SimpleNamespace
 
 # Single-threaded BLAS: the suite's hot paths are small matvecs where
 # OpenBLAS threading only adds handshake overhead, and pool workers
@@ -12,6 +13,7 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 import numpy as np
 import pytest
 
+from hurstlab import evalharness
 from hurstlab.fgn import FgnSpec, synthesize_fgn
 from hurstlab.series import write_series_csv
 
@@ -41,6 +43,31 @@ def _pin_blas_single_thread():
 
 
 _pin_blas_single_thread()
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Stand in for the harness's process pool: record each pool's
+    max_workers and the items it is given, and run its tasks in this
+    process, so no process starts."""
+    sizes, given = [], []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, task, items):
+            given.append(list(items))
+            return map(task, given[-1])
+
+    monkeypatch.setattr(evalharness, "ProcessPoolExecutor", RecordingPool)
+    return SimpleNamespace(sizes=sizes, items=given)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ property that a test checks.
 import numpy as np
 
 from hurstlab.estimators.wavelet import DB3_HIGHPASS, DB3_LOWPASS
-from hurstlab.fgn import EIG_TOLERANCE, EmbeddingNotPSD, FgnSpec, target_autocovariance
+from hurstlab.fgn import EIG_TOLERANCE, EmbeddingNotPSD, FgnSpec, build_embedding, target_autocovariance
 from hurstlab.series import TimeSeries, as_values
 
 
@@ -83,3 +83,18 @@ def complex_ring_fgn(spec: FgnSpec) -> TimeSeries:
     z[n + 1 :] = np.conj(z[1:n][::-1])
     x = np.sqrt(m) * np.fft.ifft(np.sqrt(eigenvalues) * z).real[:n]
     return TimeSeries(x)
+
+
+def one_series_fgn(spec: FgnSpec) -> TimeSeries:
+    """Half-spectrum Davies-Harte synthesis of one series, drawn and
+    transformed on its own rather than as a row of a block."""
+    eigenvalues = build_embedding(spec)
+    n = spec.length
+    m = 2 * n
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(spec.seed))))
+    g = rng.standard_normal(m)
+    z = np.empty(n + 1, dtype=complex)
+    z[0] = g[0]
+    z[n] = g[1]
+    z[1:n] = (g[2 : n + 1] + 1j * g[n + 1 :]) / np.sqrt(2.0)
+    return TimeSeries(np.sqrt(m) * np.fft.irfft(np.sqrt(eigenvalues[: n + 1]) * z, m)[:n])

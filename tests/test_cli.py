@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hurstlab import cli, evalharness
+from hurstlab import cli, evalharness, fgn
 from hurstlab.estimators import NoConvergence
 from hurstlab.fgn import EmbeddingNotPSD
 from hurstlab.series import write_series_csv
@@ -22,27 +22,10 @@ def raise_not_psd(*args, **kwargs):
     raise EmbeddingNotPSD("eigenvalue -1")
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Stand in for the harness's process pool: record each pool's
-    max_workers and run its tasks in this process, so no process starts."""
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, task, items):
-            return map(task, items)
-
-    monkeypatch.setattr(evalharness, "ProcessPoolExecutor", RecordingPool)
-    return sizes
+def expected_pool_sizes(tasks):
+    """The pool sizes a --threads 64 run of this many tasks starts: none when one worker suffices."""
+    workers = min(64, tasks, len(os.sched_getaffinity(0)))
+    return [workers] if workers > 1 else []
 
 
 class TestSynth:
@@ -203,13 +186,50 @@ class TestBench:
         assert "N_min method=whittle H=0.8: none" in capsys.readouterr().out
         assert json.loads((out / "manifest.json").read_text())["status"] == "error:flagged cells"
 
-    def test_pool_has_no_more_workers_than_cells(self, tmp_path, pool_sizes):
+    @pytest.mark.parametrize("replicates, tasks", [(2, 2), (80, 20)])
+    def test_pool_has_no_more_workers_than_tasks_or_cores(self, replicates, tasks, tmp_path, recording_pool):
         rc = run_cli(
-            "bench", "--hursts", "0.7,0.8", "--lengths", "64", "--replicates", "2",
+            "bench", "--hursts", "0.7,0.8", "--lengths", "64", "--replicates", str(replicates),
             "--method", "rs", "--threads", "64", "--out", str(tmp_path / "b"),
         )
         assert rc == 0
-        assert pool_sizes == [2]
+        assert recording_pool.sizes == expected_pool_sizes(tasks)
+        assert [len(items) for items in recording_pool.items] == [tasks] * len(recording_pool.sizes)
+
+    def test_embedding_failure_flags_only_its_cell(self, tmp_path, monkeypatch, capsys):
+        argv = ("bench", "--hursts", "0.7,0.8", "--lengths", "64,128", "--replicates", "10",
+                "--method", "rs", "--method", "whittle", "--seed", "5")
+        assert run_cli(*argv, "--out", str(tmp_path / "clean")) == 0
+        build_embedding = fgn.build_embedding
+
+        def fail_one_cell(spec):
+            if (spec.hurst, spec.length) == (0.8, 128):
+                raise EmbeddingNotPSD("patched eigenvalue")
+            return build_embedding(spec)
+
+        monkeypatch.setattr(fgn, "build_embedding", fail_one_cell)
+        out = tmp_path / "failed"
+        capsys.readouterr()
+        assert run_cli(*argv, "--out", str(out)) == 3
+        assert json.loads((out / "manifest.json").read_text())["status"] == "error:flagged cells"
+        err = capsys.readouterr().err
+        for method in ("rs", "whittle"):
+            assert f"replicate failures for method={method} H=0.8 N=128" in err
+        assert "H=0.7" not in err and "N=64" not in err
+
+        def split(path, cell):
+            lines = path.read_text().splitlines()[1:]
+            return [x for x in lines if x.split(",")[1:3] == cell], [x for x in lines if x.split(",")[1:3] != cell]
+
+        failed, failed_rest = split(out / "replicates.csv", ["0.8", "128"])
+        clean, clean_rest = split(tmp_path / "clean" / "replicates.csv", ["0.8", "128"])
+        assert failed_rest == clean_rest
+        assert len(failed) == len(clean) == 2 * 10
+        assert all(line.endswith(",,error:EmbeddingNotPSD") for line in failed)
+        failed, failed_rest = split(out / "summary.csv", ["0.8", "128"])
+        clean, clean_rest = split(tmp_path / "clean" / "summary.csv", ["0.8", "128"])
+        assert failed == [] and len(clean) == 2
+        assert failed_rest == clean_rest
 
 
 class TestConverge:
@@ -282,13 +302,13 @@ class TestConverge:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {flag}: ")
 
-    def test_pool_has_no_more_workers_than_series(self, tmp_path, pool_sizes):
+    def test_pool_has_no_more_workers_than_series(self, tmp_path, recording_pool):
         rc = run_cli(
             "converge", "--method", "rs", "--hurst", "0.8", "--series-count", "2",
             "--max-length", "264", "--threads", "64", "--out", str(tmp_path / "c.csv"),
         )
         assert rc == 0
-        assert pool_sizes == [2]
+        assert recording_pool.sizes == expected_pool_sizes(2)
 
 
 @pytest.mark.parametrize("command", ["bench", "converge"])

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from hurstlab.estimators import Method, estimate
+from hurstlab import evalharness
+from hurstlab.estimators import FIT_FAILURES, Method, estimate
+from hurstlab.estimators.whittle import whittle_point_value
 from hurstlab.evalharness import (
+    ALL_METHODS,
+    REPLICATE_BLOCK,
     ConvergenceCurve,
     ExperimentGrid,
     Precision,
+    ReplicateRecord,
     StatsSummary,
     classify_precision,
     find_nmin,
@@ -101,6 +106,27 @@ class TestExperimentGrid:
             ExperimentGrid(replicates=1)
 
 
+def reference_records(grid):
+    """The grid's records from one synthesize_fgn per replicate seed, in grid order."""
+    records = []
+    for hurst in grid.hursts:
+        for length in grid.lengths:
+            series = [
+                synthesize_fgn(FgnSpec(hurst=hurst, length=length,
+                                       seed=child_seed(grid.base_seed, hurst_key(hurst), length, r)))
+                for r in range(grid.replicates)
+            ]
+            for method in grid.methods:
+                for replicate, one in enumerate(series):
+                    try:
+                        value = whittle_point_value(one) if method is Method.WHITTLE else estimate(one, method).value
+                        records.append(ReplicateRecord(method, hurst, length, replicate, value, "ok"))
+                    except FIT_FAILURES as exc:
+                        records.append(ReplicateRecord(method, hurst, length, replicate, None,
+                                                       f"error:{type(exc).__name__}"))
+    return tuple(records)
+
+
 class TestRunGrid:
     def test_smallest_grid(self):
         grid = ExperimentGrid(
@@ -131,6 +157,36 @@ class TestRunGrid:
             methods=(Method.WHITTLE,), base_seed=5,
         )
         assert run_grid(grid, threads=1) == run_grid(grid, threads=2)
+
+    @pytest.mark.parametrize("replicates", [10, 17])
+    def test_blocks_match_per_replicate_reference(self, replicates):
+        # Neither count is a multiple of the block, so each cell ends in a short block.
+        assert replicates % REPLICATE_BLOCK
+        grid = ExperimentGrid(
+            hursts=(0.6, 0.8), lengths=(64, 200, 1024), replicates=replicates,
+            methods=ALL_METHODS, base_seed=21,
+        )
+        serial = run_grid(grid, threads=1)
+        assert serial.records == reference_records(grid)
+        assert run_grid(grid, threads=2) == serial
+
+    def test_pool_gets_largest_blocks_first_and_records_return_in_grid_order(self, recording_pool, monkeypatch):
+        monkeypatch.setattr(evalharness, "_usable_cores", lambda: 2)
+        grid = ExperimentGrid(
+            hursts=(0.6, 0.8), lengths=(64, 128, 256), replicates=10, methods=(Method.RS,), base_seed=3,
+        )
+        result = run_grid(grid, threads=2)
+        (items,) = recording_pool.items
+        work = [length * (stop - start) for _, length, start, stop, *_ in items]
+        assert work == sorted(work, reverse=True)
+        assert sorted((h, n, start, stop) for h, n, start, stop, *_ in items) == [
+            (h, n, start, min(start + REPLICATE_BLOCK, 10))
+            for h in grid.hursts for n in grid.lengths for start in range(0, 10, REPLICATE_BLOCK)
+        ]
+        assert [(r.hurst_nominal, r.length, r.replicate) for r in result.records] == [
+            (h, n, r) for h in grid.hursts for n in grid.lengths for r in range(10)
+        ]
+        assert result == run_grid(grid, threads=1)
 
 
 def _summary(method, hurst, length, precision):

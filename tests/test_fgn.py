@@ -8,10 +8,11 @@ from hurstlab.fgn import (
     build_embedding,
     child_seed,
     hurst_key,
+    synthesize_block,
     synthesize_fgn,
     target_autocovariance,
 )
-from oracles import aggregate_blocks, complex_ring_fgn
+from oracles import aggregate_blocks, complex_ring_fgn, one_series_fgn
 
 
 def naive_dft_real(x):
@@ -167,6 +168,31 @@ class TestSynthesizeFgn:
         base = synthesize_fgn(FgnSpec(hurst=0.7, length=512, variance=1.0, seed=8)).values
         scaled = synthesize_fgn(FgnSpec(hurst=0.7, length=512, variance=4.0, seed=8)).values
         np.testing.assert_allclose(scaled, 2.0 * base, rtol=1e-12)
+
+
+class TestSynthesizeBlock:
+    @pytest.mark.parametrize("block", [1, 8])
+    @pytest.mark.parametrize("variance", [1.0, 4.0])
+    @pytest.mark.parametrize("length", [2, 3, 64, 1000, 65464, 2**16])
+    @pytest.mark.parametrize("hurst", [0.3, 0.8])
+    def test_rows_are_bit_identical_to_single_series(self, hurst, length, variance, block):
+        specs = [
+            FgnSpec(hurst=hurst, length=length, variance=variance, seed=child_seed(53, length, r))
+            for r in range(block)
+        ]
+        rows = synthesize_block(specs)
+        assert rows.shape == (block, length)
+        for row, spec in zip(rows, specs):
+            assert np.array_equal(row, synthesize_fgn(spec).values)
+            assert np.array_equal(row, one_series_fgn(spec).values)
+
+    def test_rejects_an_empty_or_mixed_block(self):
+        spec = FgnSpec(hurst=0.8, length=64, seed=1)
+        with pytest.raises(ValueError):
+            synthesize_block([])
+        for other in (FgnSpec(0.7, 64, 1.0, 2), FgnSpec(0.8, 65, 1.0, 2), FgnSpec(0.8, 64, 4.0, 2)):
+            with pytest.raises(ValueError):
+                synthesize_block([spec, other])
 
 
 class TestAggregateBlocks:
