@@ -186,8 +186,7 @@ class TestBench:
         assert "N_min method=whittle H=0.8: none" in capsys.readouterr().out
         assert json.loads((out / "manifest.json").read_text())["status"] == "error:flagged cells"
 
-    @pytest.mark.parametrize("replicates, tasks", [(2, 2), (80, 20)])
-    def test_pool_has_no_more_workers_than_tasks_or_cores(self, replicates, tasks, tmp_path, recording_pool):
+    def assert_pool_capped(self, replicates, tasks, tmp_path, recording_pool):
         rc = run_cli(
             "bench", "--hursts", "0.7,0.8", "--lengths", "64", "--replicates", str(replicates),
             "--method", "rs", "--threads", "64", "--out", str(tmp_path / "b"),
@@ -195,6 +194,14 @@ class TestBench:
         assert rc == 0
         assert recording_pool.sizes == expected_pool_sizes(tasks)
         assert [len(items) for items in recording_pool.items] == [tasks] * len(recording_pool.sizes)
+
+    def test_pool_has_no_more_workers_than_cells(self, tmp_path, recording_pool):
+        # 2 cells of 2 replicates: one block, so one task, per cell.
+        self.assert_pool_capped(2, 2, tmp_path, recording_pool)
+
+    def test_pool_has_no_more_workers_than_tasks_or_cores(self, tmp_path, recording_pool):
+        # 2 cells of 80 replicates: 10 blocks of 8 per cell.
+        self.assert_pool_capped(80, 20, tmp_path, recording_pool)
 
     def test_embedding_failure_flags_only_its_cell(self, tmp_path, monkeypatch, capsys):
         argv = ("bench", "--hursts", "0.7,0.8", "--lengths", "64,128", "--replicates", "10",
