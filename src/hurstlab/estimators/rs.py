@@ -35,8 +35,12 @@ def _block_sizes(n: int) -> np.ndarray:
 def _block_rs(x: np.ndarray, prefixes: tuple, size: int, work: np.ndarray) -> np.ndarray:
     """R/S of each non-overlapping block of one size, from prefix sums.
 
-    A block whose samples are all equal gets NaN.  Each block removes its
-    own mean, so a block's value does not depend on what precedes it."""
+    The cumulative deviations of every block are written into the flat
+    buffer work[:used], and each block's range comes from one segment
+    reduction (np.maximum.reduceat / np.minimum.reduceat at the block
+    starts), not from a reduction per row.  A block whose samples are all
+    equal gets NaN.  Each block removes its own mean, so a block's value
+    does not depend on what precedes it."""
     prefix, prefix_sq, changes = prefixes
     blocks = x.size // size
     used = blocks * size
@@ -45,11 +49,13 @@ def _block_rs(x: np.ndarray, prefixes: tuple, size: int, work: np.ndarray) -> np
     variances = (block_sq - prefix_sq[0:used:size]) / size - means**2
     # Cumulative deviations D_k = (P[a+k] - P[a]) - k * mean, k = 1..size;
     # the per-block constant P[a] cancels in max - min and is dropped.
-    inner = work[:used].reshape(blocks, size)
+    flat = work[:used]
+    inner = flat.reshape(blocks, size)
     np.multiply(means[:, None], np.arange(1.0, size + 1.0), out=inner)
     np.subtract(prefix[1 : used + 1].reshape(blocks, size), inner, out=inner)
-    spread = inner.max(axis=1)
-    spread -= inner.min(axis=1)
+    starts = np.arange(0, used, size)
+    spread = np.maximum.reduceat(flat, starts)
+    spread -= np.minimum.reduceat(flat, starts)
     constant = changes[size - 1 : used : size] == changes[0:used:size]
     # A block variance from running sums carries a rounding error of order
     # eps * P2[a+size]; a nearly constant block is measured from its samples.
@@ -74,12 +80,24 @@ def _mean_rs(x: np.ndarray, prefixes: tuple, size: int, work: np.ndarray) -> flo
 def _prefix_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Running sums of x and x**2 (from 0), and changes[k], the number of
     i < k with x[i] != x[i + 1]: a block [a, a + s) is constant exactly
-    when changes[a + s - 1] == changes[a]."""
-    changes = np.concatenate([[0], np.cumsum(x[1:] != x[:-1])])
+    when changes[a + s - 1] == changes[a].
+
+    Each sum is accumulated in place behind a leading zero of its own
+    buffer, and prefix_sq's buffer first holds the centered samples and
+    then their squares, so no other array of the series' length is made."""
+    changes = np.zeros(x.size, dtype=np.int64)
+    np.not_equal(x[1:], x[:-1], out=changes[1:])
+    np.cumsum(changes[1:], out=changes[1:])
+    prefix = np.zeros(x.size + 1)
+    prefix_sq = np.zeros(x.size + 1)
     # R/S is shift-invariant; removing the global mean keeps the moment
     # formula well-conditioned for series riding on a large offset.
-    x = x - x.mean()
-    return np.concatenate([[0.0], np.cumsum(x)]), np.concatenate([[0.0], np.cumsum(x * x)]), changes
+    centered = prefix_sq[1:]
+    np.subtract(x, x.mean(), out=centered)
+    np.cumsum(centered, out=prefix[1:])
+    np.multiply(centered, centered, out=centered)
+    np.cumsum(centered, out=centered)
+    return prefix, prefix_sq, changes
 
 
 def estimate_rs(series) -> HurstEstimate:

@@ -5,10 +5,12 @@ The analysing wavelet is db3, the extremal-phase Daubechies wavelet with
 three vanishing moments; its low-pass taps are stored as literals and its
 high-pass is their quadrature mirror.  The transform uses periodic
 extension, the simplest exactly invertible convention, which also makes
-the per-octave coefficient counts reproducible.  dwt stops when the
-cascade length turns odd; the variance path drops the last approximation
-coefficient there and goes on, so octave j always has
-n_j = floor(N / 2^j) coefficients.
+the per-octave coefficient counts reproducible.  Each level extends its
+input periodically once (np.resize) and reads every filter tap as a
+stride-2 slice of that extension.  dwt stops when the cascade length
+turns odd; the variance path drops the last approximation coefficient
+there and goes on, so octave j always has n_j = floor(N / 2^j)
+coefficients.
 """
 
 from __future__ import annotations
@@ -44,12 +46,17 @@ DB3_HIGHPASS = quadrature_mirror(DB3_LOWPASS)
 
 
 def _analysis_step(approx):
-    length = approx.size
-    starts = 2 * np.arange(length // 2)
-    smooth = np.zeros(length // 2)
-    detail = np.zeros(length // 2)
+    """One periodic analysis level of an even-length approximation.
+
+    np.resize repeats approx cyclically, so the extension also wraps
+    lengths shorter than the filter; tap offset then reads every second
+    sample of the extension from offset on."""
+    half = approx.size // 2
+    extended = np.resize(approx, approx.size + DB3_LOWPASS.size - 1)
+    smooth = np.zeros(half)
+    detail = np.zeros(half)
     for offset, (h_tap, g_tap) in enumerate(zip(DB3_LOWPASS, DB3_HIGHPASS)):
-        segment = approx[(starts + offset) % length]
+        segment = extended[offset : offset + 2 * half : 2]
         smooth += h_tap * segment
         detail += g_tap * segment
     return smooth, detail

@@ -6,9 +6,60 @@ property that a test checks.
 
 import numpy as np
 
+from hurstlab.estimators.rs import _ROUNDING_FLOOR
 from hurstlab.estimators.wavelet import DB3_HIGHPASS, DB3_LOWPASS
 from hurstlab.fgn import EIG_TOLERANCE, EmbeddingNotPSD, FgnSpec, build_embedding, target_autocovariance
 from hurstlab.series import TimeSeries, as_values
+
+
+def analysis_step_gather(approx):
+    """One periodic DWT level, each tap gathered by a modular index."""
+    length = approx.size
+    starts = 2 * np.arange(length // 2)
+    smooth = np.zeros(length // 2)
+    detail = np.zeros(length // 2)
+    for offset, (h_tap, g_tap) in enumerate(zip(DB3_LOWPASS, DB3_HIGHPASS)):
+        segment = approx[(starts + offset) % length]
+        smooth += h_tap * segment
+        detail += g_tap * segment
+    return smooth, detail
+
+
+def block_rs_rows(x: np.ndarray, prefixes: tuple, size: int, work: np.ndarray) -> np.ndarray:
+    """R/S of each block of one size, each block's range reduced per row."""
+    prefix, prefix_sq, changes = prefixes
+    blocks = x.size // size
+    used = blocks * size
+    means = (prefix[size : used + 1 : size] - prefix[0:used:size]) / size
+    block_sq = prefix_sq[size : used + 1 : size]
+    variances = (block_sq - prefix_sq[0:used:size]) / size - means**2
+    # Cumulative deviations D_k = (P[a+k] - P[a]) - k * mean, k = 1..size;
+    # the per-block constant P[a] cancels in max - min and is dropped.
+    inner = work[:used].reshape(blocks, size)
+    np.multiply(means[:, None], np.arange(1.0, size + 1.0), out=inner)
+    np.subtract(prefix[1 : used + 1].reshape(blocks, size), inner, out=inner)
+    spread = inner.max(axis=1)
+    spread -= inner.min(axis=1)
+    constant = changes[size - 1 : used : size] == changes[0:used:size]
+    # A block variance from running sums carries a rounding error of order
+    # eps * P2[a+size]; a nearly constant block is measured from its samples.
+    rough = (variances <= _ROUNDING_FLOOR * block_sq) & ~constant
+    if rough.any():
+        data = x[:used].reshape(blocks, size)[rough]
+        walk = np.cumsum(data - data.mean(axis=1, keepdims=True), axis=1)
+        spread[rough] = walk.max(axis=1) - walk.min(axis=1)
+        variances[rough] = data.var(axis=1)
+    variances[constant] = np.nan
+    return spread / np.sqrt(variances)
+
+
+def prefix_sums_concatenated(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The R/S running sums, each a fresh cumsum behind a concatenated zero."""
+    changes = np.concatenate([[0], np.cumsum(x[1:] != x[:-1])])
+    # R/S is shift-invariant; removing the global mean keeps the moment
+    # formula well-conditioned for series riding on a large offset.
+    x = x - x.mean()
+    return np.concatenate([[0.0], np.cumsum(x)]), np.concatenate([[0.0], np.cumsum(x * x)]), changes
 
 
 def _synthesis_step(smooth, detail, lowpass, highpass):
