@@ -16,20 +16,71 @@ from .base import DegenerateSeries, HurstEstimate, Method, clamp_hurst, loglog_f
 LOW_FRACTION = 0.02
 
 
+# Even lengths with a prime factor above this take the packed transform; of
+# the cuts 13 .. 1000, 300 was fastest over the convergence checkpoints.
+PACKED_FACTOR_CUT = 300
+_SMALL_PRIMES = tuple(p for p in range(2, PACKED_FACTOR_CUT + 1) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+
+
+def _has_factor_above_cut(n: int) -> bool:
+    """Whether n keeps a factor after trial division by the primes up to PACKED_FACTOR_CUT."""
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            n //= p
+    return n > 1
+
+
+def _twiddles(n: int, h: int) -> np.ndarray:
+    """w_j = e^{-2 pi i j / n} for j = 1 .. h - 1, the outer product of a
+    coarse and a fine table of about sqrt(h) exponentials each."""
+    fine_count = math.isqrt(h - 1) + 1
+    fine = np.exp(np.arange(fine_count) * (-2j * np.pi / n))
+    coarse = np.exp(np.arange(-(-h // fine_count)) * (-2j * np.pi * fine_count / n))
+    return np.multiply.outer(coarse, fine).ravel()[1:h]
+
+
+def _packed_powers(centered: np.ndarray) -> np.ndarray:
+    """|X_j|^2 / (2 pi n) for j = 1 .. h - 1 of an even length n = 2h, from
+    one complex FFT Z of the h pairs (x_2k, x_2k+1) (Cooley, Lewis & Welch 1970):
+    X_j = (A + B - i w_j (A - B)) / 2 with A = Z_j and B = conj(Z_{h-j})."""
+    n = centered.size
+    h = n // 2
+    z = np.fft.fft(centered.view(complex))
+    a = z[1:h]
+    b = z[h - 1 : 0 : -1].conj()
+    total = a + b
+    turned = a - b
+    turned *= _twiddles(n, h)
+    # 2 X_j = total - i * turned, split into real and imaginary parts.
+    real = total.real + turned.imag
+    imag = total.imag - turned.real
+    return (real**2 + imag**2) / (8.0 * np.pi * n)
+
+
 def periodogram_of(series) -> tuple[np.ndarray, np.ndarray]:
     """Periodogram at the positive Fourier frequencies.
 
     Returns (frequencies, powers) with lambda_j = 2*pi*j/N for
     j = 1..floor((N-1)/2) and I(lambda_j) = |sum_t (x_t - mean) e^{-i t lambda_j}|^2 / (2*pi*N).
     The mean is removed before transforming.
+
+    An even N with a prime factor above PACKED_FACTOR_CUT (65264 = 16 * 4079,
+    say), where rfft would run a full-length Bluestein transform, is
+    transformed as one complex FFT of its N/2 sample pairs and unpacked;
+    there the powers agree with rfft's to about 1e-15 of the largest
+    power. Every other N goes through rfft.
     """
     x = as_values(series)
     n = x.size
     if n < 16:
         raise ValueError("periodogram requires at least 16 samples")
-    spectrum = np.fft.rfft(x - x.mean())[1 : (n - 1) // 2 + 1]
-    freqs = 2.0 * np.pi * np.arange(1, spectrum.size + 1) / n
-    powers = (spectrum.real**2 + spectrum.imag**2) / (2.0 * np.pi * n)
+    centered = x - x.mean()
+    if n % 2 == 0 and _has_factor_above_cut(n):
+        powers = _packed_powers(centered)
+    else:
+        spectrum = np.fft.rfft(centered)[1 : (n - 1) // 2 + 1]
+        powers = (spectrum.real**2 + spectrum.imag**2) / (2.0 * np.pi * n)
+    freqs = 2.0 * np.pi * np.arange(1, powers.size + 1) / n
     return freqs, powers
 
 

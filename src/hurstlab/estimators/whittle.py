@@ -166,7 +166,9 @@ def whittle_objective(freqs: np.ndarray, powers: np.ndarray):
 
     def objective(hurst: float) -> float:
         _alias_sum(hurst, log_lam, basis, out=shape)
-        mean_density = float(one_minus_cos @ shape) / m
+        # einsum's own loop, not a BLAS dot, so the sum's rounding does not
+        # follow the BLAS thread count.
+        mean_density = float(np.einsum("i,i->", one_minus_cos, shape)) / m
         np.divide(weights, shape, out=scratch)
         ratio_mean = mean_density * float(scratch.mean())
         np.log(shape, out=shape)

@@ -114,13 +114,19 @@ class GridResult:
 
 @dataclass(frozen=True)
 class ConvergenceCurve:
-    """Mean estimate over replicated series as a function of prefix length."""
+    """Mean estimate over replicated series as a function of prefix length.
+
+    std_errors holds each checkpoint's sample standard deviation over its
+    contributing series divided by sqrt(count), None where fewer than two
+    series contributed; the default, empty, gives every checkpoint None.
+    """
 
     method: Method
     hurst_nominal: float
     checkpoints: tuple[tuple[int, float], ...]
     counts: tuple[int, ...]
     flagged: tuple[int, ...] = ()
+    std_errors: tuple[Optional[float], ...] = ()
 
 
 def summarize_replicates(estimates: Sequence[float], nominal: float) -> ReplicateStats:
@@ -297,9 +303,10 @@ def mean_convergence_curve(
     """Average prefix estimates over replicated series at t0, t0+tu, t0+2*tu, ...
 
     Estimator failures are skipped per checkpoint; counts report how many
-    series contributed to each mean, and flagged lists the checkpoints
-    where too many series failed.  R/S fits every checkpoint of a series
-    in one sweep (rs_prefix_estimates); other methods fit each prefix.
+    series contributed to each mean, std_errors its standard error, and
+    flagged lists the checkpoints where too many series failed.  R/S fits
+    every checkpoint of a series in one sweep (rs_prefix_estimates); other
+    methods fit each prefix.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError("hurst must be in (0,1)")
@@ -322,15 +329,18 @@ def mean_convergence_curve(
 
     means: list[tuple[int, float]] = []
     counts: list[int] = []
+    std_errors: list[Optional[float]] = []
     for position, t in enumerate(checkpoints):
         values = [row[position] for row in per_series if row[position] is not None]
         counts.append(len(values))
         means.append((t, float(np.mean(values)) if values else float("nan")))
+        std_errors.append(float(np.std(values, ddof=1) / np.sqrt(len(values))) if len(values) >= 2 else None)
     flagged = tuple(
         t for t, count in zip(checkpoints, counts) if too_many_failures(series_count - count, series_count)
     )
     return ConvergenceCurve(
-        method=method, hurst_nominal=hurst, checkpoints=tuple(means), counts=tuple(counts), flagged=flagged
+        method=method, hurst_nominal=hurst, checkpoints=tuple(means), counts=tuple(counts), flagged=flagged,
+        std_errors=tuple(std_errors),
     )
 
 
@@ -359,6 +369,7 @@ def write_replicates_csv(path, records: Sequence[ReplicateRecord]) -> None:
 def write_convergence_csv(path, curve: ConvergenceCurve) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "mean_estimate"])
-        for t, mean in curve.checkpoints:
-            writer.writerow([t, f"{mean:.10g}"])
+        writer.writerow(["t", "mean_estimate", "count", "std_error"])
+        std_errors = curve.std_errors or (None,) * len(curve.checkpoints)
+        for (t, mean), count, std_error in zip(curve.checkpoints, curve.counts, std_errors):
+            writer.writerow([t, f"{mean:.10g}", count, "" if std_error is None else f"{std_error:.10g}"])

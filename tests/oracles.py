@@ -53,6 +53,18 @@ def block_rs_rows(x: np.ndarray, prefixes: tuple, size: int, work: np.ndarray) -
     return spread / np.sqrt(variances)
 
 
+def periodogram_rfft(series) -> tuple[np.ndarray, np.ndarray]:
+    """The periodogram as one rfft of the centered series, at every length."""
+    x = as_values(series)
+    n = x.size
+    if n < 16:
+        raise ValueError("periodogram requires at least 16 samples")
+    spectrum = np.fft.rfft(x - x.mean())[1 : (n - 1) // 2 + 1]
+    freqs = 2.0 * np.pi * np.arange(1, spectrum.size + 1) / n
+    powers = (spectrum.real**2 + spectrum.imag**2) / (2.0 * np.pi * n)
+    return freqs, powers
+
+
 def prefix_sums_concatenated(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The R/S running sums, each a fresh cumsum behind a concatenated zero."""
     changes = np.concatenate([[0], np.cumsum(x[1:] != x[:-1])])

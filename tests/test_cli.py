@@ -248,8 +248,9 @@ class TestConverge:
         )
         assert rc == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "t,mean_estimate"
+        assert lines[0] == "t,mean_estimate,count,std_error"
         assert [int(line.split(",")[0]) for line in lines[1:]] == [64, 264, 464, 664]
+        assert [line.split(",")[2] for line in lines[1:]] == ["2"] * 4
         manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
         assert manifest["status"] == "ok"
 
@@ -286,7 +287,8 @@ class TestConverge:
         )
         assert rc == 3
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-        assert [t for t, mean in rows if mean == "nan"] == ["64", "264"]
+        assert [t for t, mean, _, _ in rows if mean == "nan"] == ["64", "264"]
+        assert [(count, std_error) for _, mean, count, std_error in rows if mean == "nan"] == [("0", "")] * 2
         manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
         assert manifest["status"] == "error:flagged checkpoints"
         assert "2 of 4 checkpoints, first at t=64" in capsys.readouterr().err
@@ -545,3 +547,20 @@ def test_commands_run_without_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr.splitlines()[-1] == "0 []"
+
+
+def test_bench_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # A Whittle grid at N >= 2^15, run under 1 and 2 BLAS threads, writes
+    # the same bytes. Each child's thread counts are set outright: conftest
+    # pins them only by setdefault.
+    src = Path(__file__).resolve().parents[1] / "src"
+    for threads in (1, 2):
+        pins = {name: str(threads) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        done = subprocess.run(
+            [sys.executable, "-m", "hurstlab.cli", "bench", "--hursts", "0.8", "--lengths", "32768,65536",
+             "--replicates", "8", "--method", "whittle", "--seed", "1", "--out", str(tmp_path / str(threads))],
+            env={**os.environ, **pins, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+    for name in ("summary.csv", "replicates.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()

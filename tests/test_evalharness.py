@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hurstlab import evalharness
-from hurstlab.estimators import FIT_FAILURES, Method, estimate
+from hurstlab.estimators import FIT_FAILURES, Method, estimate, estimate_whittle
 from hurstlab.estimators.whittle import whittle_point_value
 from hurstlab.evalharness import (
     ALL_METHODS,
@@ -281,6 +281,31 @@ class TestMeanConvergenceCurve:
             assert mean == pytest.approx(direct, rel=0.0, abs=1e-12)
         assert curve.counts == (3,) * len(curve.checkpoints)
 
+    def test_std_errors_are_sd_over_root_count(self):
+        kwargs = dict(series_count=3, max_length=464, t0=64, tu=200, base_seed=8)
+        curve = mean_convergence_curve(Method.RS, 0.7, **kwargs)
+        series = [
+            synthesize_fgn(FgnSpec(hurst=0.7, length=464, seed=child_seed(8, hurst_key(0.7), 464, i))).values
+            for i in range(3)
+        ]
+        assert len(curve.std_errors) == len(curve.checkpoints)
+        for (t, _), std_error in zip(curve.checkpoints, curve.std_errors):
+            values = [estimate(x[:t], Method.RS).value for x in series]
+            assert std_error == pytest.approx(np.std(values, ddof=1) / np.sqrt(3), rel=1e-9)
+
+    def test_single_series_has_no_std_error(self):
+        curve = mean_convergence_curve(Method.RS, 0.8, series_count=1, max_length=264, t0=64, base_seed=3)
+        assert curve.std_errors == (None, None)
+
+    def test_whittle_sweep_matches_scalar_estimates(self):
+        # 64864 and 65264 take the packed transform, 65464 (largest factor
+        # 167) and 65536 rfft; the sweep's values equal the scalar fits.
+        checkpoints = (64864, 65264, 65464, 65536)
+        seed = child_seed(5, hurst_key(0.8), 2**16, 0)
+        values = evalharness._convergence_task((Method.WHITTLE, 0.8, 2**16, checkpoints, seed))
+        x = synthesize_fgn(FgnSpec(hurst=0.8, length=2**16, seed=seed)).values
+        assert values == [estimate_whittle(x[:t]).value for t in checkpoints]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             mean_convergence_curve(Method.WHITTLE, 0.8, t0=32)
@@ -309,5 +334,12 @@ def test_csv_writers(tmp_path):
     )
     write_convergence_csv(tmp_path / "curve.csv", curve)
     lines = (tmp_path / "curve.csv").read_text().splitlines()
-    assert lines[0] == "t,mean_estimate"
-    assert lines[1] == "64,0.75"
+    assert lines[0] == "t,mean_estimate,count,std_error"
+    assert lines[1] == "64,0.75,2,"
+
+    curve = ConvergenceCurve(
+        method=Method.RS, hurst_nominal=0.8,
+        checkpoints=((64, 0.75), (264, float("nan"))), counts=(3, 0), std_errors=(0.0125, None),
+    )
+    write_convergence_csv(tmp_path / "curve.csv", curve)
+    assert (tmp_path / "curve.csv").read_text().splitlines()[1:] == ["64,0.75,3,0.0125", "264,nan,0,"]

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from hurstlab.estimators import (
     DegenerateSeries,
     Method,
     estimate_periodogram,
+    estimate_whittle,
     periodogram_of,
 )
-from hurstlab.estimators.periodogram import LOW_FRACTION
+from hurstlab.estimators.periodogram import LOW_FRACTION, _has_factor_above_cut
 from hurstlab.fgn import FgnSpec, child_seed, synthesize_fgn
 
 
@@ -55,6 +57,57 @@ def test_parseval_total_power_matches_variance(seed, hurst):
     total = 2.0 * powers.sum() * (2.0 * np.pi / n)
     variance = x.var()
     assert abs(total - variance) < 0.01 * variance
+
+
+# Lengths that go through rfft: powers of two, other smooth even lengths
+# and an odd prime.  Even lengths with a prime factor above the cut go
+# through the packed half-length transform: 662 = 2 * 331,
+# 8158 = 2 * 4079, 63064 = 8 * 7883, 64864 = 32 * 2027, 65264 = 16 * 4079.
+RFFT_LENGTHS = [16, 17, 64, 4096, 3 * 2**14, 65536, 4079]
+PACKED_LENGTHS = [662, 8158, 63064, 64864, 65264]
+INPUTS = ["white", "offset", "integer"]
+
+
+def _input(kind, n):
+    x = np.random.default_rng(n).standard_normal(n)
+    if kind == "offset":
+        return x + 1e8
+    if kind == "integer":
+        return np.round(50.0 * x)
+    return x
+
+
+def test_lengths_fall_on_their_transform():
+    assert not any(n % 2 == 0 and _has_factor_above_cut(n) for n in RFFT_LENGTHS)
+    assert all(n % 2 == 0 and _has_factor_above_cut(n) for n in PACKED_LENGTHS)
+
+
+@pytest.mark.parametrize("kind", INPUTS)
+@pytest.mark.parametrize("n", RFFT_LENGTHS)
+def test_rfft_lengths_match_oracle_exactly(kind, n):
+    x = _input(kind, n)
+    for new, old in zip(periodogram_of(x), oracles.periodogram_rfft(x)):
+        assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("kind", INPUTS)
+@pytest.mark.parametrize("n", PACKED_LENGTHS)
+def test_packed_lengths_match_oracle_to_rounding(kind, n):
+    x = _input(kind, n)
+    (freqs, powers), (old_freqs, old_powers) = periodogram_of(x), oracles.periodogram_rfft(x)
+    assert np.array_equal(freqs, old_freqs)
+    assert powers.shape == old_powers.shape
+    assert np.abs(powers - old_powers).max() <= 1e-13 * old_powers.max()
+
+
+@pytest.mark.parametrize("n", [RFFT_LENGTHS[3], PACKED_LENGTHS[0], PACKED_LENGTHS[-1]])
+def test_constant_series_has_zero_powers(n):
+    x = np.full(n, 7.0)
+    assert not periodogram_of(x)[1].any()
+    with pytest.raises(DegenerateSeries):
+        estimate_whittle(x)
+    with pytest.raises(DegenerateSeries):
+        estimate_periodogram(x)
 
 
 class TestEstimatePeriodogram:

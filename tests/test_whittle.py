@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,3 +230,32 @@ class TestEstimateWhittle:
         est = estimate_whittle(synthesize_fgn(FgnSpec(hurst=0.6, length=1024, seed=2)))
         assert est.method is Method.WHITTLE
         assert {"objective", "evaluations", "curvature", "at_bound"} <= set(est.diagnostics)
+
+
+def blas_env(threads):
+    """This process's environment with every BLAS thread count set to threads.
+    Set outright, not by setdefault as conftest does, so the child cannot
+    inherit the suite's single-thread pin."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    pins = {name: str(threads) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    return {**os.environ, **pins, "PYTHONPATH": str(src)}
+
+
+def test_estimates_do_not_depend_on_blas_threads():
+    # The objective's sums must not follow how BLAS splits a dot product
+    # across threads: each fit is compared with == across 1 and 2 threads.
+    script = (
+        "from hurstlab.estimators import estimate_whittle\n"
+        "from hurstlab.fgn import FgnSpec, synthesize_fgn\n"
+        "for seed in range(1, 9):\n"
+        "    print(repr(estimate_whittle(synthesize_fgn(FgnSpec(hurst=0.8, length=2**16, seed=seed))).value))\n"
+    )
+    outputs = []
+    for threads in (1, 2):
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=blas_env(threads), capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.split())
+    assert len(outputs[0]) == 8
+    assert outputs[0] == outputs[1]
