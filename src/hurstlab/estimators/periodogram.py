@@ -62,7 +62,7 @@ def periodogram_of(series) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (frequencies, powers) with lambda_j = 2*pi*j/N for
     j = 1..floor((N-1)/2) and I(lambda_j) = |sum_t (x_t - mean) e^{-i t lambda_j}|^2 / (2*pi*N).
-    The mean is removed before transforming.
+    The mean is removed before transforming; a constant series has all-zero powers.
 
     An even N with a prime factor above PACKED_FACTOR_CUT (65264 = 16 * 4079,
     say), where rfft would run a full-length Bluestein transform, is
@@ -74,7 +74,8 @@ def periodogram_of(series) -> tuple[np.ndarray, np.ndarray]:
     n = x.size
     if n < 16:
         raise ValueError("periodogram requires at least 16 samples")
-    centered = x - x.mean()
+    # A constant series centers to rounding residue, whose powers are not zero.
+    centered = x - x.mean() if x.min() < x.max() else np.zeros(n)
     if n % 2 == 0 and _has_factor_above_cut(n):
         powers = _packed_powers(centered)
     else:

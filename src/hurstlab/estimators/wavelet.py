@@ -114,13 +114,15 @@ def estimate_abry_veitch(series) -> HurstEstimate:
     contamination); when that leaves fewer than two points, the range is
     widened downward to the two coarsest usable octaves and flagged.
     """
-    variances = dwt_detail_variances(series)
+    x = as_values(series)
+    variances = dwt_detail_variances(x)
     fit = [sv for sv in variances if sv.scale >= MIN_SCALE]
     range_reduced = False
     if len(fit) < 2:
         fit = variances[-2:]
         range_reduced = True
-    if any(sv.variance <= 0.0 for sv in fit):
+    # A constant series has only rounding residue for details.
+    if x.min() == x.max() or any(sv.variance <= 0.0 for sv in fit):
         raise DegenerateSeries("zero wavelet detail energy in the fitted octaves")
 
     scales = np.array([sv.scale for sv in fit], dtype=float)

@@ -13,11 +13,12 @@ leave a relative error in S of at most 2.1e-8 for H <= 0.99, the worst
 case being H = 0.99 at lambda = pi.
 
 The objective is the discrete Whittle contrast
-    Q(H) = sum_j [ log f~(lambda_j; H) + I~(lambda_j) / f~(lambda_j; H) ]
+    Q(H) = sum_j [ log f(lambda_j; H) + I~(lambda_j) / f(lambda_j; H) ]
 evaluated at the scale that minimizes it, i.e. with sigma^2 profiled out
-in closed form; f~ and I~ are the unit-mean-normalized density and
-periodogram.  The profiled form is exactly invariant under a*x + b and,
-when the periodogram is replaced by the model density at H0, is minimized
+in closed form.  The profiled Q does not change when f is rescaled, so f
+is never normalized; only the periodogram is, to unit mean (I~), which
+keeps the reported minimum exactly invariant under a*x + b.  When the
+periodogram is replaced by the model density at H0, Q is minimized
 exactly at H0.
 
 Repeated objective evaluations dominate benchmark runtime, so the powers
@@ -145,9 +146,9 @@ def fgn_spectral_density(hurst: float, frequency):
 def whittle_objective(freqs: np.ndarray, powers: np.ndarray):
     """Build the profiled Whittle contrast Q(H) for a periodogram.
 
-    Q(H) = sum_j log f~_j(H) + m * log(mean_j(I~_j / f~_j(H))) + m,
-    the value of sum_j [log(c f~_j) + I~_j/(c f~_j)] at its minimizing
-    scale c, so sigma^2 never enters.
+    Q(H) = sum_j log f_j(H) + m * log(mean_j(I~_j / f_j(H))) + m,
+    the value of sum_j [log(c f_j) + I~_j/(c f_j)] at its minimizing
+    scale c, so sigma^2 never enters and the scale of f cancels.
     """
     freqs = np.asarray(freqs, dtype=float)
     powers = np.asarray(powers, dtype=float)
@@ -166,15 +167,9 @@ def whittle_objective(freqs: np.ndarray, powers: np.ndarray):
 
     def objective(hurst: float) -> float:
         _alias_sum(hurst, log_lam, basis, out=shape)
-        # einsum's own loop, not a BLAS dot, so the sum's rounding does not
-        # follow the BLAS thread count.
-        mean_density = float(np.einsum("i,i->", one_minus_cos, shape)) / m
         np.divide(weights, shape, out=scratch)
-        ratio_mean = mean_density * float(scratch.mean())
         np.log(shape, out=shape)
-        # log of the unit-mean density, summed: sum log f - m log mean(f).
-        log_sum = log_omc_sum + float(shape.sum()) - m * np.log(mean_density)
-        return log_sum + m * (np.log(ratio_mean) + 1.0)
+        return log_omc_sum + float(shape.sum()) + m * (np.log(scratch.mean()) + 1.0)
 
     return objective
 

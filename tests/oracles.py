@@ -6,8 +6,10 @@ property that a test checks.
 
 import numpy as np
 
+from hurstlab.estimators.base import DegenerateSeries
 from hurstlab.estimators.rs import _ROUNDING_FLOOR
 from hurstlab.estimators.wavelet import DB3_HIGHPASS, DB3_LOWPASS
+from hurstlab.estimators.whittle import _alias_sum, _series_basis
 from hurstlab.fgn import EIG_TOLERANCE, EmbeddingNotPSD, FgnSpec, build_embedding, target_autocovariance
 from hurstlab.series import TimeSeries, as_values
 
@@ -161,3 +163,40 @@ def one_series_fgn(spec: FgnSpec) -> TimeSeries:
     z[n] = g[1]
     z[1:n] = (g[2 : n + 1] + 1j * g[n + 1 :]) / np.sqrt(2.0)
     return TimeSeries(np.sqrt(m) * np.fft.irfft(np.sqrt(eigenvalues[: n + 1]) * z, m)[:n])
+
+
+def whittle_objective_normalized(freqs: np.ndarray, powers: np.ndarray):
+    """Build the profiled Whittle contrast Q(H) for a periodogram.
+
+    Q(H) = sum_j log f~_j(H) + m * log(mean_j(I~_j / f~_j(H))) + m,
+    the value of sum_j [log(c f~_j) + I~_j/(c f~_j)] at its minimizing
+    scale c, so sigma^2 never enters.
+    """
+    freqs = np.asarray(freqs, dtype=float)
+    powers = np.asarray(powers, dtype=float)
+    mean_power = powers.mean()
+    if not mean_power > 0.0:
+        raise DegenerateSeries("periodogram is identically zero")
+    m = freqs.size
+    log_lam = np.log(freqs)
+    one_minus_cos = 1.0 - np.cos(freqs)
+    log_omc_sum = float(np.log(one_minus_cos).sum())
+    basis = _series_basis(freqs)
+    weights = powers / (mean_power * one_minus_cos)
+    # Scratch buffers for the hot loop; each whittle_objective call owns its own.
+    shape = np.empty(m)
+    scratch = np.empty(m)
+
+    def objective(hurst: float) -> float:
+        _alias_sum(hurst, log_lam, basis, out=shape)
+        # einsum's own loop, not a BLAS dot, so the sum's rounding does not
+        # follow the BLAS thread count.
+        mean_density = float(np.einsum("i,i->", one_minus_cos, shape)) / m
+        np.divide(weights, shape, out=scratch)
+        ratio_mean = mean_density * float(scratch.mean())
+        np.log(shape, out=shape)
+        # log of the unit-mean density, summed: sum log f - m log mean(f).
+        log_sum = log_omc_sum + float(shape.sum()) - m * np.log(mean_density)
+        return log_sum + m * (np.log(ratio_mean) + 1.0)
+
+    return objective

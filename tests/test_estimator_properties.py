@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurstlab.estimators import Method, estimate
+from hurstlab.estimators import DegenerateSeries, Method, estimate
 from hurstlab.estimators.whittle import TOLERANCE
 from hurstlab.fgn import FgnSpec, synthesize_fgn
 
@@ -43,3 +43,13 @@ class TestEstimateProperties:
     def test_affine_equivariance(self, method, x, a, b):
         shifted = estimate(a * x + b, method).value
         assert abs(shifted - estimate(x, method).value) <= EQUIVARIANCE_TOLERANCE[method]
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("value", [0.1, 1e8 + 0.3, 1 / 3, 2.7e-5, 7.0, 0.0])
+def test_constant_series_is_degenerate(method, value):
+    # Most of these constants do not equal their own computed mean, so the
+    # centred series holds rounding residue rather than zeros.
+    for n in (64, 100, 999, 1000, 4097, 8158, 12345, 65264, 65536):
+        with pytest.raises(DegenerateSeries):
+            estimate(np.full(n, value), method)

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 from scipy.special import factorial, poch, zeta
 
+import oracles
 from hurstlab.estimators import (
     DegenerateSeries,
     Method,
@@ -183,6 +184,43 @@ class TestWhittleObjective:
     def test_zero_spectrum_is_degenerate(self):
         with pytest.raises(DegenerateSeries):
             whittle_objective(np.array([0.1, 0.2]), np.zeros(2))
+
+
+def _differential_periodogram(kind, n):
+    """The periodogram of one of the differential tests' series."""
+    rng = np.random.default_rng(n)
+    if kind == "white":
+        x = rng.standard_normal(n)
+    elif kind == "integer":
+        x = rng.integers(-3, 4, n).astype(float)
+    elif kind == "fgn":
+        x = synthesize_fgn(FgnSpec(hurst=0.8, length=n, seed=n)).values
+    else:
+        x = synthesize_fgn(FgnSpec(hurst=0.95, length=n, seed=n)).values + 1e8
+    return periodogram_of(x)
+
+
+@pytest.mark.parametrize("kind", ["white", "fgn", "offset_fgn", "integer"])
+@pytest.mark.parametrize("n", [64, 1000, 4097, 65264, 65536])
+class TestObjectiveMatchesNormalizedDensity:
+    """The profiled contrast does not change when f is rescaled, so the
+    objective, which never normalizes f, must match the earlier form that
+    divided f by its mean (oracles.whittle_objective_normalized) to rounding."""
+
+    def test_values(self, kind, n):
+        freqs, powers = _differential_periodogram(kind, n)
+        objective = whittle_objective(freqs, powers)
+        normalized = oracles.whittle_objective_normalized(freqs, powers)
+        for hurst in np.linspace(0.01, 0.99, 99):
+            expected = normalized(hurst)
+            assert abs(objective(hurst) - expected) <= 1e-10 * max(1.0, abs(expected))
+
+    def test_minimization(self, kind, n):
+        freqs, powers = _differential_periodogram(kind, n)
+        result = minimize_whittle(whittle_objective(freqs, powers))
+        expected = minimize_whittle(oracles.whittle_objective_normalized(freqs, powers))
+        assert result.nfev == expected.nfev
+        assert abs(result.x - expected.x) <= 1e-10
 
 
 class TestEstimateWhittle:
