@@ -8,9 +8,17 @@ with -j and expanding in x = (lambda / 2pi)^2 <= 1/4 gives, for
     S = lambda^{-s} + 2 (2pi)^{-s} sum_{i>=0} (s)_{2i} / (2i)! * zeta(s + 2i) * x^i
 
 with (s)_k the rising factorial and zeta Riemann's.  Every term is
-positive and the terms fall roughly as 4^{-i}.  ALIAS_TERMS = 16 terms
-leave a relative error in S of at most 2.1e-8 for H <= 0.99, the worst
-case being H = 0.99 at lambda = pi.
+positive and the terms fall roughly as 4^{-i}.
+
+The series part is summed in Chebyshev polynomials T_k(u) of
+u = 8x - 1, which maps x in [0, 1/4] onto [-1, 1].  Its first 24 Taylor
+coefficients c_i are mapped to Chebyshev coefficients d_k = sum_i M[k, i] c_i
+by the fixed matrix M of x^i = ((1 + u) / 8)^i, and the series is cut
+after ALIAS_TERMS = 9 of them.  M has no negative entry (a power of
+1 + u = T_0 + T_1 has none, as T_j T_k = (T_(j+k) + T_|j-k|) / 2) and
+every c_i is positive, so each d_k is a sum of positive terms and there
+is no cancellation.  The cut leaves a relative error in S of at most
+3.8e-9 for H <= 0.99, the worst case being H = 0.99 at lambda = pi.
 
 The objective is the discrete Whittle contrast
     Q(H) = sum_j [ log f(lambda_j; H) + I~(lambda_j) / f(lambda_j; H) ]
@@ -21,40 +29,49 @@ keeps the reported minimum exactly invariant under a*x + b.  When the
 periodogram is replaced by the model density at H0, Q is minimized
 exactly at H0.
 
-Repeated objective evaluations dominate benchmark runtime, so the powers
-x^0 .. x^15 of the frequency grid are built once per objective; an
-evaluation is then 16 series coefficients and one matrix-vector product.
+Repeated objective evaluations dominate benchmark runtime, so the
+polynomials T_0(u) .. T_8(u) of the frequency grid are built once per
+objective, by T_k = 2u T_(k-1) - T_(k-2); an evaluation is then 9 series
+coefficients and one matrix-vector product.
 
-The coefficients need zeta(t) for t = s + 2i in (1, 33), summed by
+The coefficients need zeta(t) for t = s + 2i in (1, 49), summed by
 Euler-Maclaurin (Abramowitz & Stegun 23.2):
 
     zeta(t) = sum_{k<n} k^-t + n^(1-t)/(t-1) + n^-t/2
-              + sum_{j=1}^{7} B_2j/(2j)! (t)_(2j-1) n^(-t-2j+1),    n = 9,
+              + sum_{j=1}^{7} B_2j/(2j)! (t)_(2j-1) n^(-t-2j+1),    n = 9.
 
-which matches scipy.special.zeta to 2e-15 relative over the range.  As
-(s)_2i (s+2i)_(2j-1) = (s)_(2i+2j-1), every term is a constant times
-(2 pi k)^-s (s)_m for k = 1..9 and m = 0..43, so the 16 coefficients are
-one 9-value exp, one cumprod of rising factors and a constant table.
+As (s)_2i (s+2i)_(2j-1) = (s)_(2i+2j-1), every term is a constant times
+(2 pi k)^-s (s)_m for k = 1..9 and m = 0..59, so with M folded into the
+constant table the 9 coefficients are one 9-value exp, one cumprod of
+rising factors and one table product; they match scipy.special's Taylor
+coefficients mapped through M to 2e-15 relative.
 
 H is found by bounded Brent minimization (Brent 1973, ch. 5), ported
 step for step from scipy.optimize.minimize_scalar(method="bounded"):
 same points, same x, fun and evaluation count, without importing scipy.
+A convergence sweep (whittle_prefix_estimates) fits each prefix on a
+narrow bracket around the previous prefix's H, which takes ~6 evaluations
+instead of ~10.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..series import as_values
-from .base import DegenerateSeries, HurstEstimate, Method, NoConvergence
+from .base import FIT_FAILURES, DegenerateSeries, HurstEstimate, Method, NoConvergence
 
 # xatol of the bounded minimization over H.
 TOLERANCE = 1e-4
-# Terms of the zeta series for the alias sum.
-ALIAS_TERMS = 16
+# Chebyshev terms of the alias sum's series part.
+ALIAS_TERMS = 9
+# Half-width of the bracket around the previous checkpoint's H in a
+# convergence sweep (whittle_prefix_estimates).
+WARM_BRACKET = 0.01
 
 _H_BOUNDS = (0.01, 0.99)
 # Objective evaluations after which the minimization gives up.
@@ -62,39 +79,61 @@ _MAX_EVALUATIONS = 500
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 _SQRT_EPS = math.sqrt(2.2e-16)
 
+# Taylor terms x^0 .. x^23 that the Chebyshev coefficients are taken from.
+_TAYLOR_TERMS = 24
 # Euler-Maclaurin for zeta: head k = 1 .. _CUT - 1, tail at n = _CUT, and
 # the Bernoulli numbers B_2 .. B_14 of the corrections.
 _CUT = 9
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
-_RISING_ORDERS = 2 * ALIAS_TERMS + 2 * len(_BERNOULLI) - 2  # (s)_0 .. (s)_43
+_RISING_ORDERS = 2 * _TAYLOR_TERMS + 2 * len(_BERNOULLI) - 2  # (s)_0 .. (s)_59
 _LOG_2PI_K = np.log(2.0 * np.pi * np.arange(1, _CUT + 1))
-# s + _SHIFTS, with the first entry set to 1, has cumprod (s)_0 .. (s)_43.
+# s + _SHIFTS, with the first entry set to 1, has cumprod (s)_0 .. (s)_59.
 _SHIFTS = np.arange(-1.0, _RISING_ORDERS - 1)
 
 
+def _chebyshev_matrix() -> np.ndarray:
+    """M[k, i], the coefficient of T_k(u) in x^i = ((1 + u) / 8)^i, for
+    k < ALIAS_TERMS and i < _TAYLOR_TERMS.  Column i is column i - 1 times
+    (1 + u) / 8, by u T_0 = T_1 and u T_k = (T_(k+1) + T_(k-1)) / 2, so
+    every entry is >= 0."""
+    full = np.zeros((_TAYLOR_TERMS, _TAYLOR_TERMS))
+    full[0, 0] = 1.0
+    for i in range(1, _TAYLOR_TERMS):
+        prev = full[:, i - 1] / 8.0
+        column = full[:, i]
+        column += prev
+        column[1:] += 0.5 * prev[:-1]
+        column[1] += 0.5 * prev[0]
+        column[:-1] += 0.5 * prev[1:]
+    return full[:ALIAS_TERMS]
+
+
 def _zeta_table() -> np.ndarray:
-    """T[i, k - 1, m] with coefficient_i(s) = sum_k,m T (2 pi k)^-s (s)_m,
-    except the i = 0 tail n^(1-s)/(s-1), which has no (s)_m; rows (i, k)
-    are flattened for one matrix-vector product."""
-    table = np.zeros((ALIAS_TERMS, _CUT, _RISING_ORDERS))
+    """T[k, c - 1, m] with Chebyshev coefficient_k(s) = sum_c,m T (2 pi c)^-s (s)_m,
+    except the k = 0 tail n^(1-s)/(s-1), which has no (s)_m; rows (k, c)
+    are flattened for one matrix-vector product.  Built as the Taylor
+    table of coefficient_i over i < _TAYLOR_TERMS, mapped through
+    _chebyshev_matrix."""
+    taylor = np.zeros((_TAYLOR_TERMS, _CUT, _RISING_ORDERS))
     n = float(_CUT)
-    for i in range(ALIAS_TERMS):
+    for i in range(_TAYLOR_TERMS):
         weight = 2.0 / math.factorial(2 * i)
         for k in range(1, _CUT):
-            table[i, k - 1, 2 * i] = weight * float(k) ** (-2 * i)
+            taylor[i, k - 1, 2 * i] = weight * float(k) ** (-2 * i)
         if i:
-            table[i, -1, 2 * i - 1] = weight * n ** (1 - 2 * i)
-        table[i, -1, 2 * i] = weight * n ** (-2 * i) / 2.0
+            taylor[i, -1, 2 * i - 1] = weight * n ** (1 - 2 * i)
+        taylor[i, -1, 2 * i] = weight * n ** (-2 * i) / 2.0
         for j, bernoulli in enumerate(_BERNOULLI, start=1):
-            table[i, -1, 2 * i + 2 * j - 1] = weight * bernoulli / math.factorial(2 * j) * n ** (1 - 2 * i - 2 * j)
-    return table.reshape(-1, _RISING_ORDERS)
+            taylor[i, -1, 2 * i + 2 * j - 1] = weight * bernoulli / math.factorial(2 * j) * n ** (1 - 2 * i - 2 * j)
+    return np.tensordot(_chebyshev_matrix(), taylor, axes=1).reshape(-1, _RISING_ORDERS)
 
 
 _ZETA_TABLE = _zeta_table()
 
 
 def _series_coefficients(s: float) -> np.ndarray:
-    """2 (2 pi)^-s (s)_2i / (2i)! * zeta(s + 2i) for i = 0 .. ALIAS_TERMS - 1."""
+    """Chebyshev coefficients d_0 .. d_(ALIAS_TERMS - 1) of the series part
+    of the alias sum: sum_i M[k, i] * 2 (2 pi)^-s (s)_2i / (2i)! * zeta(s + 2i)."""
     factors = s + _SHIFTS
     factors[0] = 1.0
     scaled = np.exp(_LOG_2PI_K * -s)
@@ -104,12 +143,15 @@ def _series_coefficients(s: float) -> np.ndarray:
 
 
 def _series_basis(lam: np.ndarray) -> np.ndarray:
-    """Rows x^0 .. x^(ALIAS_TERMS - 1) of x = (lambda / 2pi)^2, one column per frequency."""
-    x = (lam / (2.0 * np.pi)) ** 2
-    basis = np.empty((ALIAS_TERMS, x.size))
+    """Rows T_0(u) .. T_(ALIAS_TERMS - 1)(u) of u = 8 (lambda / 2pi)^2 - 1, one
+    column per frequency, by T_k = 2u T_(k-1) - T_(k-2)."""
+    basis = np.empty((ALIAS_TERMS, lam.size))
     basis[0] = 1.0
-    for i in range(1, ALIAS_TERMS):
-        np.multiply(basis[i - 1], x, out=basis[i])
+    basis[1] = 8.0 * (lam / (2.0 * np.pi)) ** 2 - 1.0
+    two_u = 2.0 * basis[1]
+    for k in range(2, ALIAS_TERMS):
+        np.multiply(two_u, basis[k - 1], out=basis[k])
+        basis[k] -= basis[k - 2]
     return basis
 
 
@@ -183,8 +225,9 @@ class Minimum:
     nfev: int
 
 
-def minimize_whittle(objective) -> Minimum:
-    """Bounded Brent minimization of the Whittle objective over (0.01, 0.99).
+def minimize_whittle(objective, bounds: tuple[float, float] = _H_BOUNDS) -> Minimum:
+    """Bounded Brent minimization of the Whittle objective over bounds,
+    (0.01, 0.99) unless a convergence sweep narrows it (_checkpoint_fit).
 
     Step for step scipy's bounded method (xatol = TOLERANCE, at most 500
     evaluations): xf is the best point, nfc the second best, fulc the
@@ -193,7 +236,7 @@ def minimize_whittle(objective) -> Minimum:
     reports failure (500 evaluations, or NaN at the last point or at the
     minimum) or the minimum is not finite.
     """
-    a, b = _H_BOUNDS
+    a, b = bounds
     xf = nfc = fulc = a + _GOLDEN * (b - a)
     fx = fnfc = ffulc = float(objective(xf))
     fu = math.inf
@@ -254,14 +297,19 @@ def minimize_whittle(objective) -> Minimum:
     return Minimum(x=xf, fun=fx, nfev=nfev)
 
 
-def _fit(series):
-    """Minimize the Whittle contrast of a series; returns (objective, result)."""
+def _objective(series):
+    """The Whittle contrast of a series of at least 64 samples."""
     from .periodogram import periodogram_of
 
     x = as_values(series)
     if x.size < 64:
         raise ValueError("whittle estimation requires at least 64 samples")
-    objective = whittle_objective(*periodogram_of(x))
+    return whittle_objective(*periodogram_of(x))
+
+
+def _fit(series):
+    """Minimize the Whittle contrast of a series; returns (objective, result)."""
+    objective = _objective(series)
     return objective, minimize_whittle(objective)
 
 
@@ -270,6 +318,54 @@ def whittle_point_value(series) -> float:
     without the CI curvature stencil.  Intended for bulk benchmarking."""
     _, result = _fit(series)
     return float(result.x)
+
+
+def _checkpoint_fit(series, previous: Optional[float]) -> float:
+    """H of one convergence checkpoint, warm-started from the previous one's.
+
+    With no previous H this is whittle_point_value.  Otherwise Brent runs on
+    [previous - WARM_BRACKET, previous + WARM_BRACKET], clipped to the global
+    bounds, and falls back to the full range when that fit fails or stops
+    within 3 * TOLERANCE of a bracket edge that is not a global bound, where
+    the minimum may lie outside the bracket.
+    """
+    objective = _objective(series)
+    if previous is not None:
+        low, high = max(previous - WARM_BRACKET, _H_BOUNDS[0]), min(previous + WARM_BRACKET, _H_BOUNDS[1])
+        try:
+            result = minimize_whittle(objective, (low, high))
+        except NoConvergence:
+            pass
+        else:
+            inner = [edge for edge in (low, high) if edge not in _H_BOUNDS]
+            if all(abs(result.x - edge) > 3.0 * TOLERANCE for edge in inner):
+                return float(result.x)
+    return float(minimize_whittle(objective).x)
+
+
+def whittle_prefix_estimates(series, checkpoints: Sequence[int]) -> list[Optional[float]]:
+    """Whittle H of series[:t] for each checkpoint t, or None where the fit
+    fails; the sibling of rs.rs_prefix_estimates.
+
+    Successive prefixes share most of their samples, so each fit starts
+    from the previous checkpoint's H (_checkpoint_fit).  The first
+    checkpoint, and any after a failed one, is the full-range fit and so
+    equals whittle_point_value(series[:t]); the others agree with it to
+    within Brent's tolerance.
+    """
+    x = as_values(series)
+    ts = np.asarray(checkpoints, dtype=np.int64)
+    if ts.size and (ts.min() < 1 or ts.max() > x.size):
+        raise ValueError("checkpoints must lie in [1, series length]")
+    values: list[Optional[float]] = []
+    previous = None
+    for t in ts.tolist():
+        try:
+            previous = _checkpoint_fit(x[:t], previous)
+        except FIT_FAILURES:
+            previous = None
+        values.append(previous)
+    return values
 
 
 def estimate_whittle(series) -> HurstEstimate:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .estimators import FIT_FAILURES, Method, estimate, too_many_failures
 from .estimators.rs import rs_prefix_estimates
-from .estimators.whittle import whittle_point_value
+from .estimators.whittle import whittle_point_value, whittle_prefix_estimates
 from .fgn import EmbeddingNotPSD, FgnSpec, check_seed, child_seed, hurst_key, synthesize_block, synthesize_fgn
 from .series import TimeSeries
 
@@ -281,6 +281,8 @@ def _convergence_task(args):
     series = synthesize_fgn(FgnSpec(hurst=hurst, length=max_length, seed=seed))
     if method is Method.RS:
         return rs_prefix_estimates(series, checkpoints)
+    if method is Method.WHITTLE:
+        return whittle_prefix_estimates(series, checkpoints)
     values = []
     for t in checkpoints:
         try:
@@ -305,8 +307,9 @@ def mean_convergence_curve(
     Estimator failures are skipped per checkpoint; counts report how many
     series contributed to each mean, std_errors its standard error, and
     flagged lists the checkpoints where too many series failed.  R/S fits
-    every checkpoint of a series in one sweep (rs_prefix_estimates); other
-    methods fit each prefix.
+    every checkpoint of a series in one sweep (rs_prefix_estimates), and
+    Whittle starts each checkpoint's fit from the previous one's H
+    (whittle_prefix_estimates); other methods fit each prefix.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError("hurst must be in (0,1)")

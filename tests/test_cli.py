@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hurstlab import cli, evalharness, fgn
-from hurstlab.estimators import NoConvergence
+from hurstlab.estimators import NoConvergence, whittle
 from hurstlab.fgn import EmbeddingNotPSD
 from hurstlab.series import write_series_csv
 from hurstlab.traces import Unit, bin_to_series, parse_capture_csv
@@ -272,14 +272,14 @@ class TestConverge:
         assert manifest["status"].startswith("error:")
 
     def test_mostly_failed_checkpoints_flag_the_run(self, tmp_path, monkeypatch, capsys):
-        point_value = evalharness.whittle_point_value
+        checkpoint_fit = whittle._checkpoint_fit
 
-        def short_prefixes_fail(series):
+        def short_prefixes_fail(series, previous):
             if len(series) < 300:
                 raise NoConvergence("patched failure")
-            return point_value(series)
+            return checkpoint_fit(series, previous)
 
-        monkeypatch.setattr(evalharness, "whittle_point_value", short_prefixes_fail)
+        monkeypatch.setattr(whittle, "_checkpoint_fit", short_prefixes_fail)
         out = tmp_path / "curve.csv"
         rc = run_cli(
             "converge", "--method", "whittle", "--hurst", "0.8",
@@ -549,18 +549,49 @@ def test_commands_run_without_scipy(tmp_path):
     assert done.stderr.splitlines()[-1] == "0 []"
 
 
+def run_under_blas_threads(threads, *argv):
+    """Run python with argv in a child whose BLAS thread counts are all set
+    to threads.  Set outright: conftest pins them only by setdefault."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    pins = {name: str(threads) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    done = subprocess.run(
+        [sys.executable, *argv],
+        env={**os.environ, **pins, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_bench_outputs_do_not_depend_on_blas_threads(tmp_path):
     # A Whittle grid at N >= 2^15, run under 1 and 2 BLAS threads, writes
-    # the same bytes. Each child's thread counts are set outright: conftest
-    # pins them only by setdefault.
-    src = Path(__file__).resolve().parents[1] / "src"
+    # the same bytes.
     for threads in (1, 2):
-        pins = {name: str(threads) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-        done = subprocess.run(
-            [sys.executable, "-m", "hurstlab.cli", "bench", "--hursts", "0.8", "--lengths", "32768,65536",
-             "--replicates", "8", "--method", "whittle", "--seed", "1", "--out", str(tmp_path / str(threads))],
-            env={**os.environ, **pins, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=300,
+        run_under_blas_threads(
+            threads, "-m", "hurstlab.cli", "bench", "--hursts", "0.8", "--lengths", "32768,65536",
+            "--replicates", "8", "--method", "whittle", "--seed", "1", "--out", str(tmp_path / str(threads)),
         )
-        assert done.returncode == 0, done.stderr
     for name in ("summary.csv", "replicates.csv"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_converge_and_transform_estimates_do_not_depend_on_blas_threads(tmp_path):
+    # The warm-started Whittle curve up to 2^16, and the periodogram and
+    # Abry-Veitch estimates at 2^16, under 1 and 2 BLAS threads.
+    script = (
+        "from hurstlab.estimators import estimate_abry_veitch, estimate_periodogram\n"
+        "from hurstlab.fgn import FgnSpec, synthesize_fgn\n"
+        "for seed in range(1, 5):\n"
+        "    x = synthesize_fgn(FgnSpec(hurst=0.8, length=2**16, seed=seed))\n"
+        "    print(repr(estimate_periodogram(x).value), repr(estimate_abry_veitch(x).value))\n"
+    )
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"whittle{threads}.csv"
+        run_under_blas_threads(
+            threads, "-m", "hurstlab.cli", "converge", "--method", "whittle", "--hurst", "0.8",
+            "--series-count", "2", "--max-length", "65536", "--tu", "2000", "--seed", "1", "--out", str(out),
+        )
+        outputs.append((out.read_bytes(), run_under_blas_threads(threads, "-c", script).split()))
+    assert len(outputs[0][0].splitlines()) == 34
+    assert len(outputs[0][1]) == 8
+    assert outputs[0] == outputs[1]

@@ -21,8 +21,8 @@ from hurstlab.estimators import (
     whittle,
     whittle_objective,
 )
-from hurstlab.estimators.whittle import ALIAS_TERMS, TOLERANCE, whittle_point_value
-from hurstlab.fgn import FgnSpec, child_seed, synthesize_fgn
+from hurstlab.estimators.whittle import ALIAS_TERMS, TOLERANCE, whittle_point_value, whittle_prefix_estimates
+from hurstlab.fgn import FgnSpec, child_seed, hurst_key, synthesize_fgn
 
 
 def brute_force_density(hurst, lam, terms=10**6):
@@ -60,7 +60,7 @@ class TestSpectralDensity:
     @pytest.mark.parametrize("hurst", [0.01, 0.05, 0.3, 0.5, 0.8, 0.95, 0.99])
     def test_against_hurwitz_zeta(self, hurst):
         lams = np.array([1e-4, 0.5, 1.0, 2.0, 3.0, np.pi])
-        np.testing.assert_allclose(fgn_spectral_density(hurst, lams), hurwitz_density(hurst, lams), rtol=3e-8)
+        np.testing.assert_allclose(fgn_spectral_density(hurst, lams), hurwitz_density(hurst, lams), rtol=5e-9)
 
     def test_monotone_near_nyquist(self):
         assert fgn_spectral_density(0.8, np.pi) < fgn_spectral_density(0.8, np.pi / 2)
@@ -94,18 +94,34 @@ class TestSpectralDensity:
 
 
 def test_series_coefficients_match_scipy():
-    # 2 (2 pi)^-s (s)_2i / (2i)! * zeta(s + 2i), the numpy Euler-Maclaurin
-    # build against scipy.special over the whole H range.
-    even = 2.0 * np.arange(ALIAS_TERMS)
+    # The Taylor coefficients 2 (2 pi)^-s (s)_2i / (2i)! * zeta(s + 2i),
+    # i < 24, from scipy.special, mapped to Chebyshev coefficients by the
+    # same matrix, against the numpy Euler-Maclaurin build over the whole H
+    # range.
+    even = 2.0 * np.arange(whittle._TAYLOR_TERMS)
+    matrix = whittle._chebyshev_matrix()
+    assert matrix.shape == (ALIAS_TERMS, whittle._TAYLOR_TERMS)
     for hurst in np.linspace(0.01, 0.99, 981):
         s = 2.0 * hurst + 1.0
-        expected = (2.0 * np.pi) ** -s * poch(s, even) * zeta(s + even) * 2.0 / factorial(even)
-        np.testing.assert_allclose(whittle._series_coefficients(s), expected, rtol=1e-14, atol=0)
+        taylor = (2.0 * np.pi) ** -s * poch(s, even) * zeta(s + even) * 2.0 / factorial(even)
+        np.testing.assert_allclose(whittle._series_coefficients(s), matrix @ taylor, rtol=2e-15, atol=0)
 
 
-def scipy_bounded(objective, maxiter=500):
+def test_chebyshev_matrix_maps_monomials():
+    # Column i holds the Chebyshev coefficients of ((1 + u) / 8)^i, all
+    # >= 0; for i < ALIAS_TERMS the expansion is exact.
+    matrix = whittle._chebyshev_matrix()
+    assert matrix.min() >= 0.0
+    u = np.linspace(-1.0, 1.0, 101)
+    chebyshev = np.cos(np.arange(ALIAS_TERMS)[:, None] * np.arccos(u))
+    for i in range(ALIAS_TERMS):
+        np.testing.assert_allclose(matrix[:, i] @ chebyshev, ((1.0 + u) / 8.0) ** i, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(whittle._series_basis(np.pi * np.sqrt((1.0 + u) / 2.0)), chebyshev, rtol=0, atol=1e-14)
+
+
+def scipy_bounded(objective, maxiter=500, bounds=(0.01, 0.99)):
     return minimize_scalar(
-        objective, bounds=(0.01, 0.99), method="bounded", options={"xatol": TOLERANCE, "maxiter": maxiter}
+        objective, bounds=bounds, method="bounded", options={"xatol": TOLERANCE, "maxiter": maxiter}
     )
 
 
@@ -114,8 +130,8 @@ class TestBrentMatchesScipy:
     fun and evaluation count, compared with ==."""
 
     @staticmethod
-    def assert_same(objective):
-        ours, theirs = minimize_whittle(objective), scipy_bounded(objective)
+    def assert_same(objective, bounds=(0.01, 0.99)):
+        ours, theirs = minimize_whittle(objective, bounds), scipy_bounded(objective, bounds=bounds)
         assert (ours.x, ours.fun, ours.nfev) == (theirs.x, theirs.fun, theirs.nfev)
 
     @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.8, 0.95, 0.99])
@@ -127,6 +143,13 @@ class TestBrentMatchesScipy:
     def test_white_noise(self):
         x = np.random.default_rng(5).standard_normal(1000)
         self.assert_same(whittle_objective(*periodogram_of(x)))
+
+    @pytest.mark.parametrize("bounds", [(0.79, 0.81), (0.5, 0.52), (0.01, 0.02), (0.98, 0.99)])
+    def test_warm_brackets(self, bounds):
+        # The brackets of a convergence sweep: around the minimum, beside
+        # it, and at either global bound.
+        x = synthesize_fgn(FgnSpec(hurst=0.8, length=4097, seed=child_seed(41, 4097))).values
+        self.assert_same(whittle_objective(*periodogram_of(x)), bounds)
 
     @pytest.mark.parametrize(
         "objective",
@@ -221,6 +244,85 @@ class TestObjectiveMatchesNormalizedDensity:
         expected = minimize_whittle(oracles.whittle_objective_normalized(freqs, powers))
         assert result.nfev == expected.nfev
         assert abs(result.x - expected.x) <= 1e-10
+
+
+SWEEP_CHECKPOINTS = tuple(range(64, 2**16 + 1, 200))
+# The bench's Whittle tolerance (bench/checks.py).
+SWEEP_TOLERANCE = 2e-4
+
+
+def sweep_series(hurst, seed):
+    return synthesize_fgn(FgnSpec(hurst=hurst, length=2**16, seed=child_seed(seed, hurst_key(hurst), 2**16, 0))).values
+
+
+class TestPrefixSweep:
+    """whittle_prefix_estimates starts each checkpoint's fit from the
+    previous checkpoint's H; every value must stay within the bench's
+    Whittle tolerance of the full-range fit of the same prefix."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.8, 0.95])
+    def test_matches_full_range_fits(self, hurst, seed):
+        x = sweep_series(hurst, seed)
+        values = whittle_prefix_estimates(x, SWEEP_CHECKPOINTS)
+        full = [estimate_whittle(x[:t]).value for t in SWEEP_CHECKPOINTS]
+        assert values[0] == full[0]
+        assert max(abs(a - b) for a, b in zip(values, full)) <= SWEEP_TOLERANCE
+
+    def test_failed_checkpoint_restarts_full_range(self, monkeypatch):
+        x = sweep_series(0.8, 3)
+        checkpoints = SWEEP_CHECKPOINTS[:41]
+        failed = checkpoints[20]
+        checkpoint_fit = whittle._checkpoint_fit
+
+        def fail_once(series, previous):
+            if len(series) == failed:
+                raise NoConvergence("injected failure")
+            return checkpoint_fit(series, previous)
+
+        monkeypatch.setattr(whittle, "_checkpoint_fit", fail_once)
+        values = whittle_prefix_estimates(x, checkpoints)
+        assert values[20] is None
+        assert values[21] == estimate_whittle(x[: checkpoints[21]]).value
+        for t, value in zip(checkpoints, values):
+            if t != failed:
+                assert abs(value - whittle_point_value(x[:t])) <= SWEEP_TOLERANCE
+
+    @pytest.mark.parametrize("kind", ["white", "random_walk"])
+    def test_near_the_bounds(self, kind, monkeypatch):
+        # White noise sits mid-range; a random walk's fits sit at the upper
+        # bound, which is an edge of the clipped bracket and needs no fallback.
+        steps = np.random.default_rng(7).standard_normal(8192)
+        x = steps if kind == "white" else np.cumsum(steps)
+        checkpoints = tuple(range(64, 8193, 200))
+        full = [whittle_point_value(x[:t]) for t in checkpoints]
+        brackets = []
+        minimize = whittle.minimize_whittle
+
+        def recording(objective, bounds=(0.01, 0.99)):
+            brackets.append(bounds)
+            return minimize(objective, bounds)
+
+        monkeypatch.setattr(whittle, "minimize_whittle", recording)
+        values = whittle_prefix_estimates(x, checkpoints)
+        assert max(abs(a - b) for a, b in zip(values, full)) <= SWEEP_TOLERANCE
+        if kind == "random_walk":
+            assert min(values) > 0.99 - 2.0 * TOLERANCE
+            assert len(brackets) == len(checkpoints)
+            assert all(high == 0.99 for _, high in brackets)
+
+    def test_bracket_edge_falls_back_to_full_range(self):
+        # A previous H far from this prefix's minimum stops the bracketed
+        # fit at its edge, so the checkpoint takes the full-range fit.
+        x = sweep_series(0.8, 4)
+        assert whittle._checkpoint_fit(x, 0.5) == whittle_point_value(x)
+
+    def test_short_prefixes_and_validation(self):
+        x = sweep_series(0.8, 5)
+        assert whittle_prefix_estimates(x, [32, 64]) == [None, whittle_point_value(x[:64])]
+        assert whittle_prefix_estimates(x, []) == []
+        with pytest.raises(ValueError):
+            whittle_prefix_estimates(x[:100], [64, 101])
 
 
 class TestEstimateWhittle:
