@@ -19,24 +19,47 @@ LOW_FRACTION = 0.02
 # Even lengths with a prime factor above this take the packed transform; of
 # the cuts 13 .. 1000, 300 was fastest over the convergence checkpoints.
 PACKED_FACTOR_CUT = 300
+# pocketfft's own radices; _fft splits the rest of a length off as one factor.
+_RADICES = (2, 3, 5, 7, 11)
 _SMALL_PRIMES = tuple(p for p in range(2, PACKED_FACTOR_CUT + 1) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+
+
+def _rough_part(n: int, primes: tuple) -> int:
+    """n with every factor in primes divided out."""
+    for p in primes:
+        while n % p == 0:
+            n //= p
+    return n
 
 
 def _has_factor_above_cut(n: int) -> bool:
     """Whether n keeps a factor after trial division by the primes up to PACKED_FACTOR_CUT."""
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            n //= p
-    return n > 1
+    return _rough_part(n, _SMALL_PRIMES) > 1
 
 
-def _twiddles(n: int, h: int) -> np.ndarray:
-    """w_j = e^{-2 pi i j / n} for j = 1 .. h - 1, the outer product of a
-    coarse and a fine table of about sqrt(h) exponentials each."""
-    fine_count = math.isqrt(h - 1) + 1
+def _twiddles(n: int, count: int) -> np.ndarray:
+    """w_j = e^{-2 pi i j / n} for j = 0 .. count - 1, the outer product of a
+    coarse and a fine table of about sqrt(count) exponentials each."""
+    fine_count = math.isqrt(count - 1) + 1
     fine = np.exp(np.arange(fine_count) * (-2j * np.pi / n))
-    coarse = np.exp(np.arange(-(-h // fine_count)) * (-2j * np.pi * fine_count / n))
-    return np.multiply.outer(coarse, fine).ravel()[1:h]
+    coarse = np.exp(np.arange(-(-count // fine_count)) * (-2j * np.pi * fine_count / n))
+    return np.multiply.outer(coarse, fine).ravel()[:count]
+
+
+def _fft(z: np.ndarray) -> np.ndarray:
+    """Complex FFT of z as one Cooley-Tukey step (the four-step form, Bailey
+    1990) h = s * r, with s the largest divisor of h whose prime factors are
+    pocketfft's radices (<= 11): s transforms of length r, the twiddles
+    W_h^(j k), then r transforms of length s.  numpy plans the rough length
+    r once for all s rows, where a plain fft would run Bluestein on all of h."""
+    h = z.size
+    r = _rough_part(h, _RADICES)
+    s = h // r
+    if s == 1 or r == 1:
+        return np.fft.fft(z)
+    rows = np.fft.fft(z.reshape(r, s).T, axis=1)
+    rows *= _twiddles(h, h)[np.multiply.outer(np.arange(s), np.arange(r))]
+    return np.fft.fft(rows, axis=0).ravel()
 
 
 def _packed_powers(centered: np.ndarray) -> np.ndarray:
@@ -45,12 +68,12 @@ def _packed_powers(centered: np.ndarray) -> np.ndarray:
     X_j = (A + B - i w_j (A - B)) / 2 with A = Z_j and B = conj(Z_{h-j})."""
     n = centered.size
     h = n // 2
-    z = np.fft.fft(centered.view(complex))
+    z = _fft(centered.view(complex))
     a = z[1:h]
     b = z[h - 1 : 0 : -1].conj()
     total = a + b
     turned = a - b
-    turned *= _twiddles(n, h)
+    turned *= _twiddles(n, h)[1:]
     # 2 X_j = total - i * turned, split into real and imaginary parts.
     real = total.real + turned.imag
     imag = total.imag - turned.real
@@ -67,8 +90,10 @@ def periodogram_of(series) -> tuple[np.ndarray, np.ndarray]:
     An even N with a prime factor above PACKED_FACTOR_CUT (65264 = 16 * 4079,
     say), where rfft would run a full-length Bluestein transform, is
     transformed as one complex FFT of its N/2 sample pairs and unpacked;
-    there the powers agree with rfft's to about 1e-15 of the largest
-    power. Every other N goes through rfft.
+    that FFT splits off the large prime as its own factor (_fft), so
+    Bluestein runs on 4079 points, not 32632.  There the powers agree with
+    rfft's to about 2e-15 of the largest power. Every other N goes through
+    rfft.
     """
     x = as_values(series)
     n = x.size

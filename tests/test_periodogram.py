@@ -62,9 +62,12 @@ def test_parseval_total_power_matches_variance(seed, hurst):
 # Lengths that go through rfft: powers of two, other smooth even lengths
 # and an odd prime.  Even lengths with a prime factor above the cut go
 # through the packed half-length transform: 662 = 2 * 331,
-# 8158 = 2 * 4079, 63064 = 8 * 7883, 64864 = 32 * 2027, 65264 = 16 * 4079.
+# 8158 = 2 * 4079, 34424 = 8 * 13 * 331, 63064 = 8 * 7883,
+# 64864 = 32 * 2027 and 65264 = 16 * 4079.  Each half-length h splits as
+# s * r, s smooth; r is a prime but for 34424's, 13 * 331.  662's and
+# 8158's h is prime, so s = 1 and a plain fft runs.
 RFFT_LENGTHS = [16, 17, 64, 4096, 3 * 2**14, 65536, 4079]
-PACKED_LENGTHS = [662, 8158, 63064, 64864, 65264]
+PACKED_LENGTHS = [662, 8158, 34424, 63064, 64864, 65264]
 INPUTS = ["white", "offset", "integer"]
 
 
@@ -98,6 +101,21 @@ def test_packed_lengths_match_oracle_to_rounding(kind, n):
     assert np.array_equal(freqs, old_freqs)
     assert powers.shape == old_powers.shape
     assert np.abs(powers - old_powers).max() <= 1e-13 * old_powers.max()
+
+
+# Every packed length of the default convergence grid (t0 = 64, tu = 200).
+GRID_PACKED_LENGTHS = [t for t in range(64, 2**16 + 1, 200) if t % 2 == 0 and _has_factor_above_cut(t)]
+
+
+def test_grid_has_147_packed_lengths():
+    assert len(GRID_PACKED_LENGTHS) == 147
+
+
+@pytest.mark.parametrize("n", GRID_PACKED_LENGTHS)
+def test_grid_packed_lengths_match_oracle(n):
+    x = _input("white", n)
+    powers, expected = periodogram_of(x)[1], oracles.periodogram_rfft(x)[1]
+    assert np.abs(powers - expected).max() <= 1e-13 * expected.max()
 
 
 @pytest.mark.parametrize("n", [RFFT_LENGTHS[3], PACKED_LENGTHS[0], PACKED_LENGTHS[-1]])

@@ -21,7 +21,14 @@ from hurstlab.estimators import (
     whittle,
     whittle_objective,
 )
-from hurstlab.estimators.whittle import ALIAS_TERMS, TOLERANCE, whittle_point_value, whittle_prefix_estimates
+from hurstlab.estimators.whittle import (
+    ALIAS_TERMS,
+    TOLERANCE,
+    WARM_BRACKET,
+    WARM_STENCIL,
+    whittle_point_value,
+    whittle_prefix_estimates,
+)
 from hurstlab.fgn import FgnSpec, child_seed, hurst_key, synthesize_fgn
 
 
@@ -323,6 +330,103 @@ class TestPrefixSweep:
         assert whittle_prefix_estimates(x, []) == []
         with pytest.raises(ValueError):
             whittle_prefix_estimates(x[:100], [64, 101])
+
+
+def count_evaluations(monkeypatch):
+    """Patch whittle_objective so that every objective it builds counts its
+    evaluations; returns the running count as a one-item list."""
+    evaluations = [0]
+    build = whittle.whittle_objective
+
+    def counted_build(freqs, powers):
+        objective = build(freqs, powers)
+
+        def counted(hurst):
+            evaluations[0] += 1
+            return objective(hurst)
+
+        return counted
+
+    monkeypatch.setattr(whittle, "whittle_objective", counted_build)
+    return evaluations
+
+
+def record_brackets(monkeypatch):
+    """Patch minimize_whittle to record the bracket of every call."""
+    brackets = []
+    minimize = whittle.minimize_whittle
+
+    def recording(objective, bounds=(0.01, 0.99)):
+        brackets.append(bounds)
+        return minimize(objective, bounds)
+
+    monkeypatch.setattr(whittle, "minimize_whittle", recording)
+    return brackets
+
+
+class TestWarmStencil:
+    """A warm checkpoint first tries the vertex of the parabola through Q at
+    previous - WARM_STENCIL, previous and previous + WARM_STENCIL."""
+
+    def test_accepted_stencil_makes_three_evaluations(self, monkeypatch):
+        x = sweep_series(0.8, 1)
+        previous = whittle_point_value(x[:65264])
+        evaluations = count_evaluations(monkeypatch)
+        brackets = record_brackets(monkeypatch)
+        value = whittle._checkpoint_fit(x, previous)
+        assert evaluations[0] == 3
+        assert brackets == []
+        assert abs(value - previous) <= WARM_STENCIL
+        assert abs(value - whittle_point_value(x)) <= SWEEP_TOLERANCE
+
+    @pytest.mark.parametrize("offset", [-0.004, 0.004])
+    def test_rejected_stencil_takes_the_warm_bracket(self, offset, monkeypatch):
+        # A previous H 4 * WARM_STENCIL from the minimum puts the vertex
+        # outside the stencil, so the fit is the bracketed Brent fit.
+        x = sweep_series(0.8, 1)
+        previous = whittle_point_value(x) + offset
+        bracket = (previous - WARM_BRACKET, previous + WARM_BRACKET)
+        expected = minimize_whittle(whittle._objective(x), bracket)
+        evaluations = count_evaluations(monkeypatch)
+        brackets = record_brackets(monkeypatch)
+        assert whittle._checkpoint_fit(x, previous) == expected.x
+        assert brackets == [bracket]
+        assert evaluations[0] == 3 + expected.nfev
+
+    @pytest.mark.parametrize("previous", [0.01 + 0.5 * WARM_STENCIL, 0.99 - 0.5 * WARM_STENCIL])
+    def test_stencil_near_a_bound_takes_brent(self, previous, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def first_minimization(objective, bounds=(0.01, 0.99)):
+            raise Reached(bounds, evaluations[0])
+
+        evaluations = count_evaluations(monkeypatch)
+        monkeypatch.setattr(whittle, "minimize_whittle", first_minimization)
+        with pytest.raises(Reached) as reached:
+            whittle._checkpoint_fit(sweep_series(0.5, 1)[:4096], previous)
+        bracket = (max(previous - WARM_BRACKET, 0.01), min(previous + WARM_BRACKET, 0.99))
+        # The bracketed fit comes first, with no stencil evaluation before it.
+        assert reached.value.args == (bracket, 0)
+
+    def test_concave_or_nan_stencil_is_rejected(self, monkeypatch):
+        # The vertex of a parabola that opens downward is a maximum; the
+        # bracketed fit then stops at an edge and falls back to the full range.
+        def concave(hurst):
+            return -((hurst - 0.5) ** 2)
+
+        monkeypatch.setattr(whittle, "_objective", lambda series: concave)
+        assert whittle._checkpoint_fit(None, 0.5) == minimize_whittle(concave).x
+        monkeypatch.setattr(whittle, "_objective", lambda series: lambda hurst: math.nan)
+        with pytest.raises(NoConvergence):
+            whittle._checkpoint_fit(None, 0.5)
+
+    def test_sweep_takes_at_most_4_5_evaluations_per_checkpoint(self, monkeypatch):
+        # Timing-free guard on the sweep's speed: warm Brent alone takes
+        # ~6.2 evaluations per checkpoint, the stencil ~4.2 on this series.
+        evaluations = count_evaluations(monkeypatch)
+        whittle_prefix_estimates(sweep_series(0.8, 1), SWEEP_CHECKPOINTS)
+        assert evaluations[0] <= 4.5 * len(SWEEP_CHECKPOINTS)
 
 
 class TestEstimateWhittle:
