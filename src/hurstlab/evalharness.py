@@ -118,15 +118,15 @@ class ConvergenceCurve:
 
     std_errors holds each checkpoint's sample standard deviation over its
     contributing series divided by sqrt(count), None where fewer than two
-    series contributed; the default, empty, gives every checkpoint None.
+    series contributed.
     """
 
     method: Method
     hurst_nominal: float
     checkpoints: tuple[tuple[int, float], ...]
     counts: tuple[int, ...]
+    std_errors: tuple[Optional[float], ...]
     flagged: tuple[int, ...] = ()
-    std_errors: tuple[Optional[float], ...] = ()
 
 
 def summarize_replicates(estimates: Sequence[float], nominal: float) -> ReplicateStats:
@@ -373,6 +373,5 @@ def write_convergence_csv(path, curve: ConvergenceCurve) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "mean_estimate", "count", "std_error"])
-        std_errors = curve.std_errors or (None,) * len(curve.checkpoints)
-        for (t, mean), count, std_error in zip(curve.checkpoints, curve.counts, std_errors):
+        for (t, mean), count, std_error in zip(curve.checkpoints, curve.counts, curve.std_errors):
             writer.writerow([t, f"{mean:.10g}", count, "" if std_error is None else f"{std_error:.10g}"])

@@ -1,6 +1,4 @@
-import ctypes
 import os
-import re
 from types import SimpleNamespace
 
 # Single-threaded BLAS: the suite's hot paths are small matvecs where
@@ -16,33 +14,6 @@ import pytest
 from hurstlab import evalharness
 from hurstlab.fgn import FgnSpec, synthesize_fgn
 from hurstlab.series import write_series_csv
-
-
-def _pin_blas_single_thread():
-    # The env vars above only work when numpy is not yet loaded, and a
-    # pytest plugin may have loaded it first; pin the live library too.
-    # Forked pool workers inherit the setting.
-    try:
-        maps = open("/proc/self/maps").read()
-    except OSError:
-        return
-    for path in sorted(set(re.findall(r"/\S*openblas\S*\.so\S*", maps))):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in (
-            "scipy_openblas_set_num_threads64_",
-            "openblas_set_num_threads64_",
-            "openblas_set_num_threads",
-        ):
-            setter = getattr(lib, symbol, None)
-            if setter is not None:
-                setter(1)
-                break
-
-
-_pin_blas_single_thread()
 
 
 @pytest.fixture

@@ -331,7 +331,7 @@ def test_csv_writers(tmp_path):
 
     curve = ConvergenceCurve(
         method=Method.RS, hurst_nominal=0.8,
-        checkpoints=((64, 0.75), (264, 0.79)), counts=(2, 2),
+        checkpoints=((64, 0.75), (264, 0.79)), counts=(2, 2), std_errors=(None, None),
     )
     write_convergence_csv(tmp_path / "curve.csv", curve)
     lines = (tmp_path / "curve.csv").read_text().splitlines()

@@ -24,7 +24,6 @@ from hurstlab.estimators import (
 from hurstlab.estimators.whittle import (
     ALIAS_TERMS,
     TOLERANCE,
-    WARM_BRACKET,
     WARM_STENCIL,
     whittle_point_value,
     whittle_prefix_estimates,
@@ -126,9 +125,9 @@ def test_chebyshev_matrix_maps_monomials():
     np.testing.assert_allclose(whittle._series_basis(np.pi * np.sqrt((1.0 + u) / 2.0)), chebyshev, rtol=0, atol=1e-14)
 
 
-def scipy_bounded(objective, maxiter=500, bounds=(0.01, 0.99)):
+def scipy_bounded(objective, maxiter=500):
     return minimize_scalar(
-        objective, bounds=bounds, method="bounded", options={"xatol": TOLERANCE, "maxiter": maxiter}
+        objective, bounds=(0.01, 0.99), method="bounded", options={"xatol": TOLERANCE, "maxiter": maxiter}
     )
 
 
@@ -137,8 +136,8 @@ class TestBrentMatchesScipy:
     fun and evaluation count, compared with ==."""
 
     @staticmethod
-    def assert_same(objective, bounds=(0.01, 0.99)):
-        ours, theirs = minimize_whittle(objective, bounds), scipy_bounded(objective, bounds=bounds)
+    def assert_same(objective):
+        ours, theirs = minimize_whittle(objective), scipy_bounded(objective)
         assert (ours.x, ours.fun, ours.nfev) == (theirs.x, theirs.fun, theirs.nfev)
 
     @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.8, 0.95, 0.99])
@@ -150,13 +149,6 @@ class TestBrentMatchesScipy:
     def test_white_noise(self):
         x = np.random.default_rng(5).standard_normal(1000)
         self.assert_same(whittle_objective(*periodogram_of(x)))
-
-    @pytest.mark.parametrize("bounds", [(0.79, 0.81), (0.5, 0.52), (0.01, 0.02), (0.98, 0.99)])
-    def test_warm_brackets(self, bounds):
-        # The brackets of a convergence sweep: around the minimum, beside
-        # it, and at either global bound.
-        x = synthesize_fgn(FgnSpec(hurst=0.8, length=4097, seed=child_seed(41, 4097))).values
-        self.assert_same(whittle_objective(*periodogram_of(x)), bounds)
 
     @pytest.mark.parametrize(
         "objective",
@@ -268,7 +260,7 @@ class TestPrefixSweep:
     Whittle tolerance of the full-range fit of the same prefix."""
 
     @pytest.mark.parametrize("seed", [1, 2])
-    @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.8, 0.95])
+    @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.5, 0.8, 0.95])
     def test_matches_full_range_fits(self, hurst, seed):
         x = sweep_series(hurst, seed)
         values = whittle_prefix_estimates(x, SWEEP_CHECKPOINTS)
@@ -298,29 +290,22 @@ class TestPrefixSweep:
     @pytest.mark.parametrize("kind", ["white", "random_walk"])
     def test_near_the_bounds(self, kind, monkeypatch):
         # White noise sits mid-range; a random walk's fits sit at the upper
-        # bound, which is an edge of the clipped bracket and needs no fallback.
+        # bound, where the stencil does not fit, so every checkpoint takes
+        # the full-range fit.
         steps = np.random.default_rng(7).standard_normal(8192)
         x = steps if kind == "white" else np.cumsum(steps)
         checkpoints = tuple(range(64, 8193, 200))
         full = [whittle_point_value(x[:t]) for t in checkpoints]
-        brackets = []
-        minimize = whittle.minimize_whittle
-
-        def recording(objective, bounds=(0.01, 0.99)):
-            brackets.append(bounds)
-            return minimize(objective, bounds)
-
-        monkeypatch.setattr(whittle, "minimize_whittle", recording)
+        minimizations = count_minimizations(monkeypatch)
         values = whittle_prefix_estimates(x, checkpoints)
         assert max(abs(a - b) for a, b in zip(values, full)) <= SWEEP_TOLERANCE
         if kind == "random_walk":
             assert min(values) > 0.99 - 2.0 * TOLERANCE
-            assert len(brackets) == len(checkpoints)
-            assert all(high == 0.99 for _, high in brackets)
+            assert minimizations[0] == len(checkpoints)
 
     def test_bracket_edge_falls_back_to_full_range(self):
-        # A previous H far from this prefix's minimum stops the bracketed
-        # fit at its edge, so the checkpoint takes the full-range fit.
+        # A previous H far from this prefix's minimum puts the stencil's
+        # vertex outside it, so the checkpoint takes the full-range fit.
         x = sweep_series(0.8, 4)
         assert whittle._checkpoint_fit(x, 0.5) == whittle_point_value(x)
 
@@ -351,17 +336,18 @@ def count_evaluations(monkeypatch):
     return evaluations
 
 
-def record_brackets(monkeypatch):
-    """Patch minimize_whittle to record the bracket of every call."""
-    brackets = []
+def count_minimizations(monkeypatch):
+    """Patch minimize_whittle to count its calls; returns the running count
+    as a one-item list."""
+    calls = [0]
     minimize = whittle.minimize_whittle
 
-    def recording(objective, bounds=(0.01, 0.99)):
-        brackets.append(bounds)
-        return minimize(objective, bounds)
+    def counted(objective):
+        calls[0] += 1
+        return minimize(objective)
 
-    monkeypatch.setattr(whittle, "minimize_whittle", recording)
-    return brackets
+    monkeypatch.setattr(whittle, "minimize_whittle", counted)
+    return calls
 
 
 class TestWarmStencil:
@@ -372,46 +358,46 @@ class TestWarmStencil:
         x = sweep_series(0.8, 1)
         previous = whittle_point_value(x[:65264])
         evaluations = count_evaluations(monkeypatch)
-        brackets = record_brackets(monkeypatch)
+        minimizations = count_minimizations(monkeypatch)
         value = whittle._checkpoint_fit(x, previous)
         assert evaluations[0] == 3
-        assert brackets == []
+        assert minimizations[0] == 0
         assert abs(value - previous) <= WARM_STENCIL
         assert abs(value - whittle_point_value(x)) <= SWEEP_TOLERANCE
 
-    @pytest.mark.parametrize("offset", [-0.004, 0.004])
-    def test_rejected_stencil_takes_the_warm_bracket(self, offset, monkeypatch):
+    @pytest.mark.parametrize("offset", [-4 * WARM_STENCIL, 4 * WARM_STENCIL])
+    def test_rejected_stencil_takes_the_full_range_fit(self, offset, monkeypatch):
         # A previous H 4 * WARM_STENCIL from the minimum puts the vertex
-        # outside the stencil, so the fit is the bracketed Brent fit.
+        # outside the stencil, so the fit is the full-range Brent fit.
         x = sweep_series(0.8, 1)
         previous = whittle_point_value(x) + offset
-        bracket = (previous - WARM_BRACKET, previous + WARM_BRACKET)
-        expected = minimize_whittle(whittle._objective(x), bracket)
+        expected = minimize_whittle(whittle._objective(x))
         evaluations = count_evaluations(monkeypatch)
-        brackets = record_brackets(monkeypatch)
+        minimizations = count_minimizations(monkeypatch)
         assert whittle._checkpoint_fit(x, previous) == expected.x
-        assert brackets == [bracket]
+        assert minimizations[0] == 1
         assert evaluations[0] == 3 + expected.nfev
 
-    @pytest.mark.parametrize("previous", [0.01 + 0.5 * WARM_STENCIL, 0.99 - 0.5 * WARM_STENCIL])
+    @pytest.mark.parametrize("previous", [0.0105, 0.9895])
     def test_stencil_near_a_bound_takes_brent(self, previous, monkeypatch):
         class Reached(Exception):
             pass
 
-        def first_minimization(objective, bounds=(0.01, 0.99)):
-            raise Reached(bounds, evaluations[0])
+        def first_minimization(objective):
+            raise Reached(evaluations[0])
 
+        # The stencil would reach past a bound.
+        assert min(previous - 0.01, 0.99 - previous) < WARM_STENCIL
         evaluations = count_evaluations(monkeypatch)
         monkeypatch.setattr(whittle, "minimize_whittle", first_minimization)
         with pytest.raises(Reached) as reached:
             whittle._checkpoint_fit(sweep_series(0.5, 1)[:4096], previous)
-        bracket = (max(previous - WARM_BRACKET, 0.01), min(previous + WARM_BRACKET, 0.99))
-        # The bracketed fit comes first, with no stencil evaluation before it.
-        assert reached.value.args == (bracket, 0)
+        # The full-range fit comes first, with no stencil evaluation before it.
+        assert reached.value.args == (0,)
 
     def test_concave_or_nan_stencil_is_rejected(self, monkeypatch):
-        # The vertex of a parabola that opens downward is a maximum; the
-        # bracketed fit then stops at an edge and falls back to the full range.
+        # The vertex of a parabola that opens downward is a maximum, so the
+        # checkpoint takes the full-range fit.
         def concave(hurst):
             return -((hurst - 0.5) ** 2)
 
@@ -421,12 +407,12 @@ class TestWarmStencil:
         with pytest.raises(NoConvergence):
             whittle._checkpoint_fit(None, 0.5)
 
-    def test_sweep_takes_at_most_4_5_evaluations_per_checkpoint(self, monkeypatch):
-        # Timing-free guard on the sweep's speed: warm Brent alone takes
-        # ~6.2 evaluations per checkpoint, the stencil ~4.2 on this series.
+    def test_sweep_takes_at_most_3_75_evaluations_per_checkpoint(self, monkeypatch):
+        # Timing-free guard on the sweep's speed: a full-range fit takes ~10
+        # evaluations, the stencil 3; this series takes ~3.4 per checkpoint.
         evaluations = count_evaluations(monkeypatch)
         whittle_prefix_estimates(sweep_series(0.8, 1), SWEEP_CHECKPOINTS)
-        assert evaluations[0] <= 4.5 * len(SWEEP_CHECKPOINTS)
+        assert evaluations[0] <= 3.75 * len(SWEEP_CHECKPOINTS)
 
 
 class TestEstimateWhittle:
