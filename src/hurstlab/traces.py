@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import lzma
 import math
 import warnings
 from dataclasses import dataclass
@@ -44,13 +45,14 @@ class Capture:
     sizes: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
-        sizes = np.asarray(self.sizes)
+        # Contiguous: loadtxt's columns are strided views of its records.
+        times = np.asarray(self.times, dtype=np.float64, order="C")
+        sizes = np.asarray(self.sizes, order="C")
         if times.ndim != 1 or sizes.ndim != 1 or times.size < 1 or times.size != sizes.size:
             raise ValueError("times and sizes must be one-dimensional, non-empty and of equal length")
         if sizes.dtype.kind not in "iu":
             raise ValueError("sizes must be integers")
-        sizes = sizes.astype(np.int64)
+        sizes = sizes.astype(np.int64, copy=False)
         if not np.all(np.isfinite(times) & (times >= 0.0)):
             raise ValueError("timestamp must be finite and non-negative")
         if np.any(sizes < 1):
@@ -119,30 +121,40 @@ def parse_capture_csv(source) -> Capture:
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
-            return _parse_text(fh)
+            # np.loadtxt reads a path string in C chunks but a handle line by
+            # line in Python.  A pipe cannot be opened again from its start.
+            # The absolute path keeps numpy from taking "http://…" for a URL.
+            return _parse_text(fh, str(Path(source).absolute()) if fh.seekable() else None)
     if isinstance(source, bytes):
         return _parse_text(io.StringIO(source.decode("utf-8")))
     return _parse_lines(source)
 
 
-def _parse_text(fh) -> Capture:
-    """Read a UTF-8 text stream positioned at its start: one pass, else the loop."""
+def _parse_text(fh, path: str | None = None) -> Capture:
+    """Read a UTF-8 text stream positioned at its start: one pass, else the
+    loop.  Given `path`, the file that `fh` reads, the pass reads the path."""
     try:
-        return _parse_columns(fh)
-    except (ValueError, DeprecationWarning):
+        return _parse_columns(fh, path)
+    # A row that loadtxt reads otherwise than the loop, numpy 1.x's
+    # DeprecationWarning, or numpy failing to decompress a plain-text path
+    # named .gz, .bz2 (OSError) or .xz (LZMAError): the loop decides.
+    except (ValueError, DeprecationWarning, OSError, lzma.LZMAError):
         fh.seek(0)
         return _parse_lines(fh)
 
 
-def _parse_columns(fh) -> Capture:
-    """Read a capture in one np.loadtxt pass; raise ValueError or
-    DeprecationWarning on any row the line loop might read differently, or
-    reject."""
+def _parse_columns(fh, path: str | None = None) -> Capture:
+    """Read a capture in one np.loadtxt pass, of `path` past the header if
+    given, else of the rest of `fh`; raise on any row the line loop might
+    read differently, or reject."""
+    header_lines = 1
     header = fh.readline()
     while header and not header.strip():  # blank lines before the header, as the loop skips them
         header = fh.readline()
+        header_lines += 1
     if header.strip().lower() != "timestamp,bytes":
         raise ValueError("header is not the first non-blank line")
+    source, skiprows = (fh, 0) if path is None else (path, header_lines)
     # comments=None: the loop rejects "1.5,2 # x".  Rows loadtxt reads but
     # the loop rejects (bad times or sizes, no rows at all) fail in Capture.
     # numpy 1.x reads a size such as "2.0" with a DeprecationWarning where
@@ -150,7 +162,10 @@ def _parse_columns(fh) -> Capture:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
         warnings.simplefilter("error", DeprecationWarning)
-        rows = np.loadtxt(fh, delimiter=",", dtype=[("t", "f8"), ("s", "i8")], comments=None, ndmin=1)
+        rows = np.loadtxt(
+            source, delimiter=",", dtype=[("t", "f8"), ("s", "i8")], comments=None, ndmin=1,
+            skiprows=skiprows, encoding="utf-8",
+        )
     return _time_sorted(rows["t"], rows["s"])
 
 
@@ -194,7 +209,11 @@ def _parse_lines(source) -> Capture:
 
 
 def _time_sorted(times: np.ndarray, sizes: np.ndarray) -> Capture:
-    """The frames in time order; frames with equal times keep their order."""
+    """The frames in time order; frames with equal times keep their order.
+    In-order times, as captures mostly come, are returned as they are: a
+    stable sort of them is the identity."""
+    if np.all(times[1:] >= times[:-1]):
+        return Capture(times, sizes)
     order = np.argsort(times, kind="stable")
     return Capture(times[order], sizes[order])
 

@@ -12,6 +12,7 @@ from hurstlab.estimators.wavelet import DB3_HIGHPASS, DB3_LOWPASS
 from hurstlab.estimators.whittle import _alias_sum, _series_basis
 from hurstlab.fgn import EIG_TOLERANCE, EmbeddingNotPSD, FgnSpec, build_embedding, target_autocovariance
 from hurstlab.series import TimeSeries, as_values
+from hurstlab.traces import Capture
 
 
 def analysis_step_gather(approx):
@@ -110,6 +111,12 @@ def aggregate_blocks(series, m: int) -> TimeSeries:
 def window_count(total: int, window: int, stride: int) -> int:
     """Closed-form number of sliding windows: floor((M - window) / stride) + 1."""
     return (total - window) // stride + 1
+
+
+def time_sorted_argsort(times: np.ndarray, sizes: np.ndarray) -> Capture:
+    """The frames in time order by a stable argsort of every capture, in order or not."""
+    order = np.argsort(times, kind="stable")
+    return Capture(times[order], sizes[order])
 
 
 def complex_ring_embedding(spec: FgnSpec) -> np.ndarray:

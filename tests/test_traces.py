@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import urllib.request
 import warnings
 
 import numpy as np
@@ -20,12 +21,13 @@ from hurstlab.traces import (
     WindowScan,
     _parse_columns,
     _parse_lines,
+    _time_sorted,
     bin_to_series,
     parse_capture_csv,
     sliding_window_scan,
     write_window_scan_csv,
 )
-from oracles import window_count
+from oracles import time_sorted_argsort, window_count
 
 
 class TestParseCaptureCsv:
@@ -166,19 +168,66 @@ class TestOnePassMatchesLineLoop:
         def no_loop(_):
             raise AssertionError("line loop ran on a valid capture")
 
+        loadtxt, sources = np.loadtxt, []
+
+        def recording_loadtxt(source, **kwargs):
+            sources.append(source)
+            return loadtxt(source, **kwargs)
+
         monkeypatch.setattr(traces, "_parse_lines", no_loop)
+        monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
         assert len(parse_capture_csv(capture_file)) == 20000
+        # numpy reads a path string in C chunks, a stream line by line.
+        assert sources == [str(capture_file.absolute())]
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    @pytest.mark.parametrize("text", ["timestamp,bytes\n0.5,10\n0.25,20\n", "timestamp,bytes\n0.5,10\n0.25,x\n"])
+    def test_plain_text_named_compressed_reads_as_in_the_loop(self, suffix, text, tmp_path):
+        # numpy opens a path by its suffix and fails to decompress plain text.
+        path = tmp_path / f"capture.csv{suffix}"
+        path.write_bytes(text.encode())
+        assert _capture_outcome(lambda _: parse_capture_csv(path), text) == _capture_outcome(_line_loop, text)
+
+    def test_url_like_path_is_read_as_a_local_file(self, capture_file, tmp_path, monkeypatch):
+        # numpy would fetch a path string with a scheme and a host.
+        def no_fetch(*_):
+            raise AssertionError("the capture was fetched as a URL")
+
+        local = tmp_path / "http:" / "localhost:1"
+        local.mkdir(parents=True)
+        (local / "capture.csv").write_bytes(capture_file.read_bytes())
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(urllib.request, "urlopen", no_fetch)
+        monkeypatch.setattr(traces, "_parse_lines", no_fetch)
+        assert len(parse_capture_csv("http://localhost:1/capture.csv")) == 20000
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_path_is_read_once(self):
+        # Longer than one read of the header check, shorter than the pipe buffer.
+        text = "timestamp,bytes\n" + "".join(f"{i * 1e-3:.3f},{64 + i % 1400}\n" for i in range(2000))
+        read, write = os.pipe()
+        os.write(write, text.encode())
+        os.close(write)
+        try:
+            actual = _capture_outcome(lambda _: parse_capture_csv(f"/dev/fd/{read}"), text)
+        finally:
+            os.close(read)
+        assert actual == _capture_outcome(_line_loop, text)
 
     @pytest.mark.parametrize("lead", ["\n", "\n\n", "  \n", "\t\r\n \n"])
-    def test_blank_lines_before_the_header_take_one_pass(self, lead, capture_file, monkeypatch):
+    def test_blank_lines_before_the_header_take_one_pass(self, lead, capture_file, monkeypatch, tmp_path):
         text = lead + capture_file.read_text(encoding="utf-8")
         expected = _capture_outcome(_line_loop, text)
+        path = tmp_path / "capture.csv"
+        path.write_bytes(text.encode())
 
         def no_loop(_):
             raise AssertionError("line loop ran on a valid capture")
 
         monkeypatch.setattr(traces, "_parse_lines", no_loop)
         assert _capture_outcome(lambda t: parse_capture_csv(t.encode()), text) == expected
+        # A path is read past the blank lines and the header, and no further.
+        assert _capture_outcome(lambda _: parse_capture_csv(path), text) == expected
         assert len(expected[0]) == 8 * 20000
 
     def test_bad_row_near_the_end_of_a_long_capture(self):
@@ -229,6 +278,36 @@ class TestOnePassMatchesLineLoop:
     def test_header_only_raises_empty_capture_without_warning(self, text):
         with pytest.raises(EmptyCapture, match="capture contains no records"):
             parse_capture_csv(text.encode())
+
+
+_IN_ORDER = np.arange(200) * 1e-3
+_EQUAL_TIME_RUNS = np.repeat(np.arange(50) * 1e-3, 4)
+_ONE_INVERSION = _IN_ORDER[[*range(100), 101, 100, *range(102, 200)]]
+
+
+@pytest.mark.parametrize(
+    "times",
+    [_IN_ORDER, _EQUAL_TIME_RUNS, _ONE_INVERSION, _EQUAL_TIME_RUNS[::-1]],
+    ids=["in_order", "equal_time_runs", "one_inversion", "reversed"],
+)
+def test_time_sorted_matches_the_argsort(times):
+    # As np.loadtxt gives them: strided fields of one record array, sizes
+    # distinct so that any reordering of equal times shows.
+    rows = np.zeros(times.size, dtype=[("t", "f8"), ("s", "i8")])
+    rows["t"], rows["s"] = times, np.arange(1, times.size + 1)
+    capture = _time_sorted(rows["t"], rows["s"])
+    expected = time_sorted_argsort(rows["t"], rows["s"])
+    assert capture.times.tobytes() == expected.times.tobytes()
+    assert capture.sizes.tobytes() == expected.sizes.tobytes()
+    assert capture.times.flags.c_contiguous and capture.sizes.flags.c_contiguous
+
+
+def test_in_order_capture_is_not_sorted_again(monkeypatch):
+    def no_sort(*_, **__):
+        raise AssertionError("an in-order capture was sorted")
+
+    monkeypatch.setattr(np, "argsort", no_sort)
+    assert _time_sorted(_EQUAL_TIME_RUNS, np.ones(_EQUAL_TIME_RUNS.size, dtype=np.int64)).times.size == 200
 
 
 class TestBinToSeries:

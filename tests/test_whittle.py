@@ -303,7 +303,7 @@ class TestPrefixSweep:
             assert min(values) > 0.99 - 2.0 * TOLERANCE
             assert minimizations[0] == len(checkpoints)
 
-    def test_bracket_edge_falls_back_to_full_range(self):
+    def test_far_previous_h_takes_the_full_range_fit(self):
         # A previous H far from this prefix's minimum puts the stencil's
         # vertex outside it, so the checkpoint takes the full-range fit.
         x = sweep_series(0.8, 4)
